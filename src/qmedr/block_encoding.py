@@ -6,10 +6,12 @@ significant qubits. Constructions here build the unitaries explicitly so
 every claimed bound can be measured directly; oracle query costs are charged
 to an abstract tally instead of being executed.
 
-Composite unitaries (products, Hermitian dilations) keep an exactly factored
-form so large register counts stay affordable: the factored objects expose
-the same dense matrix (for small dimensions), exact top-left block
-extraction, and a unitarity defect bound derived from their verified leaves.
+Composite unitaries (products, Hermitian dilations and the
+prepare-select-unprepare combination behind exponential encodings) keep an
+exactly factored form so large register counts stay affordable: the factored
+objects expose the same dense matrix (for small dimensions), exact top-left
+block extraction, and a unitarity defect bound derived from their verified
+leaves.
 """
 
 from __future__ import annotations
@@ -206,7 +208,56 @@ class DilationUnitary:
         return _memoized_defect(self, compute)
 
 
-UnitaryLike = DenseUnitary | ProductUnitary | DilationUnitary
+def _spectral_defect(u: np.ndarray) -> float:
+    # U^dag U - I is Hermitian, so its spectral norm is its largest |eigenvalue|
+    return float(np.max(np.abs(np.linalg.eigvalsh(u.conj().T @ u - np.eye(u.shape[0])))))
+
+
+@dataclass(frozen=True)
+class LcuUnitary:
+    """Prepare-select-unprepare on registers (index, flag qubit, system).
+
+    Realizes (P^T x I) . (sum_l |l><l| x blocks[l]) . (P x I) for a real
+    orthogonal prepare P; its top-left system block is exactly
+    sum_l P[l, 0]^2 * blocks[l][:d, :d].
+    """
+
+    prep: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.prep.shape[0] * self.blocks[0].shape[0]
+
+    def to_dense(self, limit: int = _MATERIALIZE_LIMIT) -> np.ndarray:
+        if self.dim > limit:
+            raise MemoryError(f"refusing to materialize {self.dim}x{self.dim} unitary")
+        width = self.blocks[0].shape[0]
+        select = np.zeros((self.dim, self.dim), dtype=self.blocks[0].dtype)
+        for l, blk in enumerate(self.blocks):
+            s0 = l * width
+            select[s0 : s0 + width, s0 : s0 + width] = blk
+        prep_full = np.kron(self.prep, np.eye(width))
+        return prep_full.T @ select @ prep_full
+
+    def top_left(self, d: int) -> np.ndarray:
+        weights = self.prep[:, 0] ** 2
+        return sum(w * blk[:d, :d] for w, blk in zip(weights, self.blocks) if w != 0.0)
+
+    def unitarity_defect(self) -> float:
+        def compute():
+            if self.dim <= _DENSE_CHECK_LIMIT:
+                return DenseUnitary(self.to_dense()).unitarity_defect()
+            # spectral-norm leaf defects, which bound the max-abs defect of
+            # U^dag U - I = P^T S^dag (P P^T - I) S P + P^T (S^dag S - I) P + (P^T P - I)
+            d_p = _spectral_defect(self.prep)
+            d_s = max(_spectral_defect(blk) for blk in self.blocks)
+            return d_p + (1.0 + d_p) * d_s + (1.0 + d_p) * (1.0 + d_s) * d_p
+
+        return _memoized_defect(self, compute)
+
+
+UnitaryLike = DenseUnitary | ProductUnitary | DilationUnitary | LcuUnitary
 
 
 @dataclass(frozen=True)
@@ -400,7 +451,9 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
     sqrt(|c_l|), the select stage applies a one-ancilla dilation of each
     power (with the coefficient's sign folded in), and a dump slot absorbs
     the truncation mass so the subnormalization is exactly e^2. The result
-    is an (e^2, index+1 ancillas, e^2*eps)-encoding.
+    is an (e^2, index+1 ancillas, e^2*eps)-encoding whose unitary stays in
+    factored form (an ``LcuUnitary``): the prepare and the select blocks are
+    kept, never their product.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -433,32 +486,19 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
     prep = _householder_prep(np.sqrt(probs))
 
     dim = be.system_dim
+    dtype = h_enc.dtype
     blocks = []
-    power = np.eye(dim, dtype=h_enc.dtype)
-    shift = h_enc - np.eye(dim, dtype=h_enc.dtype)
-    for l in range(idx_dim):
-        if l <= order:
-            blk = math.copysign(1.0, coeffs[l]) * _cs_dilation(power.astype(complex))
-            blocks.append(blk)
-            power = power @ shift
-        elif l == order + 1:
-            flip = np.zeros((2 * dim, 2 * dim), dtype=complex)
-            flip[:dim, dim:] = np.eye(dim)
-            flip[dim:, :dim] = np.eye(dim)
-            blocks.append(flip)
-        else:
-            blocks.append(np.eye(2 * dim, dtype=complex))
-
-    total = idx_dim * 2 * dim
-    select = np.zeros((total, total), dtype=complex)
-    for l, blk in enumerate(blocks):
-        s0 = l * 2 * dim
-        select[s0 : s0 + 2 * dim, s0 : s0 + 2 * dim] = blk
-
-    prep_full = np.kron(prep, np.eye(2 * dim))
-    u = prep_full.T @ select @ prep_full
-    if not np.iscomplexobj(h_enc):
-        u = u.real
+    power = np.eye(dim, dtype=dtype)
+    shift = h_enc - np.eye(dim, dtype=dtype)
+    for l in range(order + 1):
+        blk = math.copysign(1.0, coeffs[l]) * _cs_dilation(power.astype(complex))
+        blocks.append(blk if np.iscomplexobj(h_enc) else blk.real)
+        power = power @ shift
+    flip = np.zeros((2 * dim, 2 * dim), dtype=dtype)
+    flip[:dim, dim:] = np.eye(dim)
+    flip[dim:, :dim] = np.eye(dim)
+    blocks.append(flip)
+    blocks.extend([np.eye(2 * dim, dtype=dtype)] * (idx_dim - order - 2))
 
     target = expm(sign * hermitize(be.target))
     cost = resources.CostLog(be.cost).merged(
@@ -470,7 +510,7 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
         }
     )
     out = BlockEncoding(
-        unitary=DenseUnitary(u),
+        unitary=LcuUnitary(prep=prep, blocks=tuple(blocks)),
         alpha=b_norm,
         ancillas=n_idx + 1,
         system_qubits=be.system_qubits,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import resources
-from .block_encoding import BlockEncoding, be_extract
+from .block_encoding import BlockEncoding, _householder_prep, be_extract
 from .classical import EigenSolution, apply_dataset_signs, _first_component_signs
 from .embedding import Dataset
 from .linalg import hermiticity_defect, hermitize
@@ -405,18 +405,6 @@ def hadamard_test(
     return re_zeta if mode == "real" else -re_zeta
 
 
-def _state_prep(vec: np.ndarray) -> np.ndarray:
-    """Orthogonal preparation whose first column is the given unit vector."""
-    n = vec.shape[0]
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    w = vec - e0
-    nrm2 = float(w @ w)
-    if nrm2 < 1e-30:
-        return np.eye(n)
-    return np.eye(n) - 2.0 * np.outer(w, w) / nrm2
-
-
 def _draw_anchor(ds: Dataset, vectors: np.ndarray, seed: int) -> tuple[int, np.ndarray]:
     """Seeded anchor-sample draw with all eigenvector overlaps above the floor."""
     gen = np.random.default_rng(seed)
@@ -568,9 +556,9 @@ def assemble_analog_state(
 
     if mode == "sampled":
         gen = np.random.default_rng(seed + 17)
-        anchor_prep = _state_prep(ds.normalized_rows()[anchor_idx])
+        anchor_prep = _householder_prep(ds.normalized_rows()[anchor_idx])
         xi_hat = np.array([
-            hadamard_test(anchor_prep, _state_prep(vectors[:, j]), "real",
+            hadamard_test(anchor_prep, _householder_prep(vectors[:, j]), "real",
                           shots=shots, rng=gen)
             for j in range(len(xi))
         ])

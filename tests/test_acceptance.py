@@ -76,7 +76,7 @@ def test_criterion_02_exponential_encoding_bound():
         for sign in (1, -1):
             enc = be_exp(u, sign, eps, kappa)
             assert enc.alpha == float(np.exp(2.0))
-            err = spectral_norm(expm(sign * h) - EXP_NORMALIZATION * enc.unitary.matrix[:dim, :dim])
+            err = spectral_norm(expm(sign * h) - EXP_NORMALIZATION * enc.unitary.to_dense()[:dim, :dim])
             assert err <= EXP_NORMALIZATION * eps
             worst_ratio = max(worst_ratio, err / (EXP_NORMALIZATION * eps))
     elapsed = time.perf_counter() - start

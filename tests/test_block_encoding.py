@@ -1,10 +1,16 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import qmedr.block_encoding as bk
 from conftest import random_contraction, random_hermitian_in_window
 from qmedr.block_encoding import (
     EXP_NORMALIZATION,
     BlockEncodingError,
+    DenseUnitary,
+    LcuUnitary,
     be_controlled_sim,
     be_exp,
     be_extract,
@@ -214,7 +220,7 @@ class TestBeExp:
         be = block_encode_dense(np.eye(2), alpha=1.0)
         for sign in (1, -1):
             enc = be_exp(be, sign, 1e-3, kappa=2.0)
-            block = enc.unitary.matrix[:2, :2]
+            block = enc.unitary.to_dense()[:2, :2]
             assert np.allclose(block, np.exp(sign) / EXP_NORMALIZATION * np.eye(2),
                                atol=1e-3)
             assert spectral_norm(be_extract(enc) - np.exp(sign) * np.eye(2)) <= enc.epsilon
@@ -269,7 +275,7 @@ class TestBeExp:
     def test_unitarity(self, rng):
         be = block_encode_dense(random_hermitian_in_window(rng, 4, 2.0), alpha=1.0)
         enc = be_exp(be, -1, 1e-3, kappa=2.0)
-        assert unitarity_check(enc.unitary.matrix, 1e-9)
+        assert unitarity_check(enc.unitary.to_dense(), 1e-9)
 
     def test_cost_charged(self, rng):
         be = block_encode_dense(random_hermitian_in_window(rng, 4, 2.0), alpha=1.0)
@@ -283,6 +289,62 @@ class TestBeExp:
         loose = block_encode_dense(h, alpha=2.0)
         enc = be_exp(loose, +1, 1e-3, kappa=2.0)
         assert spectral_norm(expm(h) - be_extract(enc)) <= enc.epsilon
+
+
+def _complex_hermitian_in_window(rng, dim, kappa):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(z)
+    w = rng.uniform(1.0 / kappa, 1.0, size=dim)
+    w[0], w[-1] = 1.0 / kappa, 1.0
+    return (q * w) @ q.conj().T
+
+
+class TestLcuUnitary:
+    def test_top_left_matches_dense(self, rng):
+        for dim in (2, 4, 8, 16):
+            for make in (random_hermitian_in_window, _complex_hermitian_in_window):
+                h = make(rng, dim, 5.0)
+                for sign in (1, -1):
+                    enc = be_exp(block_encode_dense(h, alpha=1.0), sign, 1e-8, kappa=5.0)
+                    assert isinstance(enc.unitary, LcuUnitary)
+                    dense = enc.unitary.to_dense()
+                    assert np.iscomplexobj(dense) == np.iscomplexobj(h)
+                    assert np.max(np.abs(enc.unitary.top_left(dim) - dense[:dim, :dim])) <= 1e-13
+
+    def test_leaf_bound_dominates_dense_defect(self, rng, monkeypatch):
+        monkeypatch.setattr(bk, "_DENSE_CHECK_LIMIT", 0)
+        for dim in (2, 4, 8, 16):
+            for make in (random_hermitian_in_window, _complex_hermitian_in_window):
+                enc = be_exp(block_encode_dense(make(rng, dim, 2.0), alpha=1.0), -1, 1e-8, kappa=2.0)
+                leaf = enc.unitary.unitarity_defect()
+                dense = DenseUnitary(enc.unitary.to_dense()).unitarity_defect()
+                assert dense <= leaf <= 1e-9
+
+    def test_leaf_bound_rejects_scaled_block(self, rng, monkeypatch):
+        monkeypatch.setattr(bk, "_DENSE_CHECK_LIMIT", 0)
+        enc = be_exp(block_encode_dense(random_hermitian_in_window(rng, 4, 2.0), alpha=1.0),
+                     +1, 1e-8, kappa=2.0)
+        lcu = enc.unitary
+        # the last block (flip or identity) never reaches the top-left block,
+        # so only the unitarity defect can expose the fault
+        blocks = lcu.blocks[:-1] + ((1.0 + 1e-6) * lcu.blocks[-1],)
+        faulty = dataclasses.replace(enc, unitary=LcuUnitary(prep=lcu.prep, blocks=blocks))
+        assert np.array_equal(faulty.extracted(), enc.extracted())
+        with pytest.raises(BlockEncodingError, match="unitarity"):
+            bk._verify_encoding(faulty)
+
+    def test_memory_stays_factored_at_dim_256(self, rng):
+        be = block_encode_dense(random_hermitian_in_window(rng, 256, 2.0), alpha=1.0)
+        tracemalloc.start()
+        try:
+            enc = be_exp(be, +1, 1e-8, kappa=2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert enc.unitary.dim == 8192
+        assert peak < 128 * 2**20
+        with pytest.raises(MemoryError):
+            enc.unitary.to_dense()
 
 
 class TestControlledSim:
