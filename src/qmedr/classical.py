@@ -47,13 +47,11 @@ class EigenSolution:
 
 @dataclass(frozen=True)
 class CompressedOutput:
-    """Projected dataset Y = X W plus provenance and resource metadata."""
+    """Projected dataset Y = X W plus provenance and the solution it came from."""
 
     Y: np.ndarray
     frobenius: float
     provenance: str
-    error_bound: float
-    resources: dict | None = None
     solution: EigenSolution | None = None
 
 
@@ -91,9 +89,21 @@ def apply_dataset_signs(sol: EigenSolution, x: np.ndarray) -> EigenSolution:
     return replace(sol, eigenvectors=w, sign_convention="dataset-sum")
 
 
+def _cached(p: MedrProblem, key: str, make):
+    """``make(p)``, formed once per problem. Every reader shares the result,
+    so its arrays are made read-only."""
+    if key not in p.cache:
+        value = make(p)
+        for part in value if isinstance(value, tuple) else (value,):
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
+        p.cache[key] = value
+    return p.cache[key]
+
+
 def exponential_operator(p: MedrProblem) -> np.ndarray:
-    """E = exp(-S2) exp(S1) for the preconditioned pair."""
-    return expm(-p.s2) @ expm(p.s1)
+    """E = exp(-S2) exp(S1) for the preconditioned pair, formed once per problem."""
+    return _cached(p, "E", lambda q: expm(-q.s2) @ expm(q.s1))
 
 
 def full_spectrum(p: MedrProblem) -> tuple[np.ndarray, np.ndarray, str]:
@@ -124,7 +134,7 @@ def solve_medr(p: MedrProblem, m: int) -> EigenSolution:
     if not 1 <= m <= dim:
         raise ValueError(f"m must satisfy 1 <= m <= {dim}, got {m}")
     direction = direction_for_variant(p.variant)
-    values, vectors, route = full_spectrum(p)
+    values, vectors, route = _cached(p, "spectrum", full_spectrum)
 
     if direction == "smallest":
         sel = np.arange(m)
@@ -158,8 +168,6 @@ def project(ds: Dataset, sol: EigenSolution) -> CompressedOutput:
         Y=y,
         frobenius=frobenius_norm(y),
         provenance="classical",
-        error_bound=0.0,
-        resources=None,
         solution=signed,
     )
 
@@ -194,22 +202,20 @@ def cluster_residuals(p: MedrProblem, sol: EigenSolution, value_tol: float):
     For every selected (value, vector) pair, collect the exact spectral
     values within ``value_tol`` of the (possibly binned) estimate and measure
     the distance from the vector to the span of that cluster. Returns
-    (residuals, multiplicities); a multiplicity above one marks a column
+    (residuals, clusters): ``clusters[j]`` holds the exact vectors of pair j's
+    cluster as columns. More than one column marks a column of the output
     whose individual entries are basis-dependent.
     """
-    values, vectors, _ = full_spectrum(p)
-    residuals = np.zeros(sol.m)
-    multiplicities = np.zeros(sol.m, dtype=int)
+    values, vectors, _ = _cached(p, "spectrum", full_spectrum)
+    residuals = np.ones(sol.m)
+    clusters = []
     for j in range(sol.m):
-        members = np.abs(values - sol.eigenvalues[j]) <= value_tol
-        multiplicities[j] = int(members.sum())
-        if multiplicities[j] == 0:
-            residuals[j] = 1.0
-            continue
-        basis = vectors[:, members]
-        v = sol.eigenvectors[:, j]
-        residuals[j] = float(np.linalg.norm(v - basis @ (basis.T @ v)))
-    return residuals, multiplicities
+        basis = vectors[:, np.abs(values - sol.eigenvalues[j]) <= value_tol]
+        clusters.append(basis)
+        if basis.shape[1]:
+            v = sol.eigenvectors[:, j]
+            residuals[j] = float(np.linalg.norm(v - basis @ (basis.T @ v)))
+    return residuals, clusters
 
 
 def subspace_angle(w1: np.ndarray, w2: np.ndarray) -> float:
@@ -219,12 +225,3 @@ def subspace_angle(w1: np.ndarray, w2: np.ndarray) -> float:
     smallest = float(np.clip(svals.min() if svals.size else 0.0, -1.0, 1.0))
     return float(np.arccos(smallest))
 
-
-def align_columns(y_test: np.ndarray, y_ref: np.ndarray) -> np.ndarray:
-    """Rotate/reflect y_test's columns onto y_ref (orthogonal Procrustes).
-
-    Used for comparisons when the spectral cut is degenerate and the selected
-    basis is only defined up to an orthogonal mix.
-    """
-    u, _, vt = np.linalg.svd(y_test.T @ y_ref)
-    return y_test @ (u @ vt)

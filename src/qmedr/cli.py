@@ -9,6 +9,7 @@ config and seed); projected tables are also written as CSV. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -55,28 +56,7 @@ def _write_tidy_compare(path: str, y_classical, y_quantum) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        variant=args.variant,
-        m=args.m,
-        k=args.k,
-        sigma=args.sigma,
-        kappa_target=args.kappa_target,
-        eps=args.eps,
-        eps1=args.eps1,
-        eps2=args.eps2,
-        eps_be=args.eps_be,
-        accuracy_bits=args.accuracy_bits,
-        eta=args.eta,
-        q2=args.q2,
-        int_bits=args.int_bits,
-        seed=args.seed,
-        mode=args.mode,
-        sign_source=args.sign_source,
-        shots=args.shots,
-        analog=args.analog,
-        include_k=args.include_k,
-        strict=args.strict,
-    )
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
     cfg.validate()
     return cfg
 
@@ -142,20 +122,8 @@ def cmd_classical(args) -> int:
         return EXIT_NUMERICAL
     doc = pipeline.json_clean({
         "config": cfg.to_dict(),
-        "problem": {
-            "variant": problem.variant,
-            "kappa1": problem.kappa1,
-            "kappa2": problem.kappa2,
-            "preconditioning": [m.to_dict() for m in problem.maps],
-            "flags": list(problem.flags),
-        },
-        "classical": {
-            "eigenvalues": result.solution.eigenvalues,
-            "route": result.solution.route,
-            "degenerate_cut": result.solution.degenerate_cut,
-            "frobenius": result.frobenius,
-            "Y": result.Y,
-        },
+        "problem": pipeline.problem_section(problem),
+        "classical": pipeline.classical_section(result),
     })
     _dump_json(doc, os.path.join(out_dir, "classical.json"))
     _write_table(os.path.join(out_dir, "y_classical.csv"), result.Y,
@@ -172,21 +140,10 @@ def cmd_quantum_sim(args) -> int:
     if cfg.strict and run.solution.degenerate_cut:
         print("degenerate spectral cut", file=sys.stderr)
         return EXIT_NUMERICAL
-    report = resources.eval_step_costs(run.params)
     doc = pipeline.json_clean({
         "config": cfg.to_dict(),
-        "quantum": {
-            "eigenvalue_estimates": run.solution.eigenvalues,
-            "dilated": run.dilated,
-            "epsilon_total": run.digital.epsilon_total,
-            "entries": run.digital.entries,
-            "analog_fidelity": run.analog.fidelity_vs_classical if run.analog else None,
-        },
-        "resources": {
-            "per_step": report.per_step,
-            "logged_steps": run.logged_steps,
-            "cost_log": dict(run.cost_log),
-        },
+        "quantum": pipeline.quantum_section(run),
+        "resources": pipeline.resources_section(run, cfg),
     })
     _dump_json(doc, os.path.join(out_dir, "quantum.json"))
     _write_table(os.path.join(out_dir, "y_quantum.csv"), run.digital.entries,

@@ -8,11 +8,11 @@ the exponential pipeline downstream has the conditioning it assumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import hermitian_eig, spectral_norm
+from .linalg import frobenius_norm, hermitian_eig, spectral_norm
 
 VARIANTS = ("ELPP", "EUDP", "ENPE", "EDA")
 
@@ -95,7 +95,11 @@ class MedrProblem:
 
     Both matrices are symmetric with spectra inside [1/kappa, 1]; ``maps``
     records the affine spectral transforms that were applied, so consumers
-    know the solved problem is the preconditioned one.
+    know the solved problem is the preconditioned one. ``complement_fro`` is
+    the Frobenius norm of the complement-graph Laplacian (EUDP only), which
+    the cost expressions read. ``cache`` holds quantities derived from the
+    pair, such as E = exp(-S2) exp(S1) and its spectrum, so each is formed
+    once per problem.
     """
 
     variant: str
@@ -105,6 +109,8 @@ class MedrProblem:
     kappa2: float
     maps: tuple[AffineSpectralMap, AffineSpectralMap]
     flags: tuple = ()
+    complement_fro: float | None = None
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -257,7 +263,8 @@ def build_eudp(ds: Dataset, graph: SimilarityGraph, kappa_target: float = DEFAUL
     x = ds.X
     comp = complement_graph(graph)
     flags = list(graph.flags) + list(comp.flags)
-    return _assemble("EUDP", x.T @ graph.L @ x, x.T @ comp.L @ x, kappa_target, flags, pad_to)
+    problem = _assemble("EUDP", x.T @ graph.L @ x, x.T @ comp.L @ x, kappa_target, flags, pad_to)
+    return replace(problem, complement_fro=frobenius_norm(comp.L))
 
 
 def npe_weights(ds: Dataset, k: int) -> np.ndarray:

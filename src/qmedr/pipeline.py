@@ -118,6 +118,7 @@ class QuantumRun:
     """Everything the simulated pipeline produced, for reporting and tests."""
 
     problem: MedrProblem
+    padded: Dataset
     digital: qs.DigitalState
     analog: qs.AnalogState | None
     solution: cl.EigenSolution
@@ -132,12 +133,7 @@ class QuantumRun:
 
 def _resource_params(ds: Dataset, cfg: RunConfig, p: MedrProblem, t_encode: float,
                      eps2: float) -> resources.ResourceParams:
-    lp_fro = 1.0
-    if cfg.variant == "EUDP":
-        from .embedding import complement_graph
-
-        graph = knn_graph(ds, cfg.k, cfg.sigma)
-        lp_fro = max(frobenius_norm(complement_graph(graph).L), 1e-12)
+    lp_fro = max(p.complement_fro, 1e-12) if p.complement_fro is not None else 1.0
     return resources.ResourceParams(
         N=ds.n_samples,
         M=p.dim,
@@ -174,22 +170,30 @@ def _build(ds: Dataset, cfg: RunConfig) -> tuple[MedrProblem, Dataset]:
     return problem, padded
 
 
+def classical_stage(problem: MedrProblem, padded: Dataset, cfg: RunConfig) -> cl.CompressedOutput:
+    """Classical reference on a built (padded) preconditioned problem."""
+    return cl.project(padded, cl.solve_medr(problem, cfg.m))
+
+
 def run_classical(ds: Dataset, cfg: RunConfig) -> tuple[cl.CompressedOutput, MedrProblem, Dataset]:
-    """Classical reference on the (padded) preconditioned problem."""
+    """Build the problem from ``ds``, then run the classical reference on it."""
     cfg.validate()
     problem, padded = _build(ds, cfg)
-    sol = cl.solve_medr(problem, cfg.m)
-    return cl.project(padded, sol), problem, padded
+    return classical_stage(problem, padded, cfg), problem, padded
 
 
-def run_quantum(
-    ds: Dataset,
-    cfg: RunConfig,
-    reference: cl.CompressedOutput | None = None,
-) -> QuantumRun:
-    """Simulated quantum pipeline; ``reference`` feeds sign copying when asked."""
+def run_quantum(ds: Dataset, cfg: RunConfig,
+                reference: cl.CompressedOutput | None = None) -> QuantumRun:
+    """Build the problem from ``ds``, then run the simulated quantum pipeline on it."""
     cfg.validate()
     problem, padded = _build(ds, cfg)
+    return quantum_stage(problem, padded, cfg, reference)
+
+
+def quantum_stage(problem: MedrProblem, padded: Dataset, cfg: RunConfig,
+                  reference: cl.CompressedOutput | None = None) -> QuantumRun:
+    """Simulated quantum pipeline on a built problem; ``reference`` feeds sign
+    copying when asked, and is solved from the same problem when absent."""
     log = resources.CostLog()
 
     u1 = bk.block_encode_dense(problem.s1, alpha=1.0)
@@ -239,7 +243,7 @@ def run_quantum(
     ref_signs = None
     if cfg.sign_source == "reference":
         if reference is None:
-            reference, _, _ = run_classical(ds, cfg)
+            reference = classical_stage(problem, padded, cfg)
         ref_signs = reference.Y
     digital = qs.assemble_digital_state(
         padded, sol, table, q2=cfg.q2, int_bits=cfg.int_bits, eps_target=cfg.eps,
@@ -267,6 +271,7 @@ def run_quantum(
 
     return QuantumRun(
         problem=problem,
+        padded=padded,
         digital=digital,
         analog=analog,
         solution=sol,
@@ -303,7 +308,9 @@ def compare_outputs(classical: cl.CompressedOutput, run: QuantumRun) -> Comparis
     When the spectral cut is degenerate, individual entries of the affected
     columns are basis-dependent; those columns are instead required to lie in
     the exact spectral cluster matching their value (subspace membership) and
-    the entrywise comparison is restricted to the unambiguous columns.
+    the entrywise comparison is restricted to the unambiguous columns. The
+    digital entries of each such column must then lie within
+    sqrt(N) * epsilon_total of the span of X times the cluster's vectors.
     """
     y_ref = classical.Y
     y_q = run.digital.entries
@@ -317,12 +324,18 @@ def compare_outputs(classical: cl.CompressedOutput, run: QuantumRun) -> Comparis
 
     cluster_residual = 0.0
     ambiguous = np.zeros(y_q.shape[1], dtype=bool)
+    entries_in_span = True
     if degenerate:
         t = run.phase_result.t
         value_tol = 2.0 ** (2 - run.phase_result.q1) * (2.0 * math.pi / t) + 100.0 * run.encoding_epsilon
-        residuals, multiplicities = cl.cluster_residuals(run.problem, run.solution, value_tol)
+        residuals, clusters = cl.cluster_residuals(run.problem, run.solution, value_tol)
         cluster_residual = float(residuals.max()) if residuals.size else 0.0
-        ambiguous = multiplicities > 1
+        ambiguous = np.array([c.shape[1] > 1 for c in clusters], dtype=bool)
+        span_tol = math.sqrt(y_q.shape[0]) * run.digital.epsilon_total
+        for j in np.nonzero(ambiguous)[0]:
+            basis, _ = np.linalg.qr(run.padded.X @ clusters[j])
+            col = y_q[:, j]
+            entries_in_span &= bool(np.linalg.norm(col - basis @ (basis.T @ col)) <= span_tol)
 
     cols = ~ambiguous
     diff = np.abs(y_q[:, cols] - y_ref[:, cols])
@@ -333,7 +346,7 @@ def compare_outputs(classical: cl.CompressedOutput, run: QuantumRun) -> Comparis
         else 1.0
     )
     max_err = float(diff.max()) if diff.size else 0.0
-    passed = bool(max_err <= run.digital.epsilon_total) and (
+    passed = bool(max_err <= run.digital.epsilon_total) and entries_in_span and (
         not degenerate or cluster_residual <= CLUSTER_RESIDUAL_TOL
     )
     return ComparisonResult(
@@ -393,15 +406,63 @@ def graph_summary(ds: Dataset, cfg: RunConfig) -> dict:
     })
 
 
-def full_report(ds: Dataset, cfg: RunConfig) -> dict:
-    """One JSON document with config, problem, both runs, comparison and costs."""
-    cfg.validate()
-    classical_out, problem, padded = run_classical(ds, cfg)
-    run = run_quantum(ds, cfg, reference=classical_out)
-    comparison = compare_outputs(classical_out, run)
+def problem_section(problem: MedrProblem) -> dict:
+    return {
+        "variant": problem.variant,
+        "dim": problem.dim,
+        "kappa1": problem.kappa1,
+        "kappa2": problem.kappa2,
+        "preconditioning": [m.to_dict() for m in problem.maps],
+        "flags": list(problem.flags),
+    }
+
+
+def classical_section(out: cl.CompressedOutput) -> dict:
+    return {
+        "eigenvalues": out.solution.eigenvalues,
+        "route": out.solution.route,
+        "degenerate_cut": out.solution.degenerate_cut,
+        "Y": out.Y,
+        "frobenius": out.frobenius,
+    }
+
+
+def quantum_section(run: QuantumRun) -> dict:
+    return {
+        "eigenvalue_estimates": run.solution.eigenvalues,
+        "dilated": run.dilated,
+        "qpe_success_probability": run.phase_result.success_probability,
+        "epsilon_total": run.digital.epsilon_total,
+        "encoding_epsilon": run.encoding_epsilon,
+        "eps2": run.digital.eps2,
+        "anchor_index": run.digital.anchor_index,
+        "entries": run.digital.entries,
+        "analog_fidelity": run.analog.fidelity_vs_classical if run.analog else None,
+    }
+
+
+def resources_section(run: QuantumRun, cfg: RunConfig) -> dict:
     report = resources.eval_step_costs(run.params)
-    variant_costs = resources.variant_comparison(run.params, cfg.variant, cfg.include_k)
-    ratios = audit_ratios(run)
+    return {
+        "per_step": report.per_step,
+        "polylog": report.polylog,
+        "variant": resources.variant_comparison(run.params, cfg.variant, cfg.include_k),
+        "logged_steps": run.logged_steps,
+        "audit_ratios": audit_ratios(run),
+        "cost_log": dict(run.cost_log),
+    }
+
+
+def full_report(ds: Dataset, cfg: RunConfig) -> dict:
+    """One JSON document with config, problem, both runs, comparison and costs.
+
+    The problem is built once and both stages solve that same object.
+    """
+    cfg.validate()
+    problem, padded = _build(ds, cfg)
+    classical_out = classical_stage(problem, padded, cfg)
+    run = quantum_stage(problem, padded, cfg, reference=classical_out)
+    comparison = compare_outputs(classical_out, run)
 
     doc = {
         "config": cfg.to_dict(),
@@ -411,32 +472,9 @@ def full_report(ds: Dataset, cfg: RunConfig) -> dict:
             "padded_features": padded.n_features,
             "has_labels": ds.labels is not None,
         },
-        "problem": {
-            "variant": problem.variant,
-            "dim": problem.dim,
-            "kappa1": problem.kappa1,
-            "kappa2": problem.kappa2,
-            "preconditioning": [m.to_dict() for m in problem.maps],
-            "flags": list(problem.flags),
-        },
-        "classical": {
-            "eigenvalues": classical_out.solution.eigenvalues,
-            "route": classical_out.solution.route,
-            "degenerate_cut": classical_out.solution.degenerate_cut,
-            "Y": classical_out.Y,
-            "frobenius": classical_out.frobenius,
-        },
-        "quantum": {
-            "eigenvalue_estimates": run.solution.eigenvalues,
-            "dilated": run.dilated,
-            "qpe_success_probability": run.phase_result.success_probability,
-            "epsilon_total": run.digital.epsilon_total,
-            "encoding_epsilon": run.encoding_epsilon,
-            "eps2": run.digital.eps2,
-            "anchor_index": run.digital.anchor_index,
-            "entries": run.digital.entries,
-            "analog_fidelity": run.analog.fidelity_vs_classical if run.analog else None,
-        },
+        "problem": problem_section(problem),
+        "classical": classical_section(classical_out),
+        "quantum": quantum_section(run),
         "compare": {
             "max_abs_error": comparison.max_abs_error,
             "mean_abs_error": comparison.mean_abs_error,
@@ -447,13 +485,6 @@ def full_report(ds: Dataset, cfg: RunConfig) -> dict:
             "ambiguous_columns": comparison.ambiguous_columns,
             "passed": comparison.passed,
         },
-        "resources": {
-            "per_step": report.per_step,
-            "polylog": report.polylog,
-            "variant": variant_costs,
-            "logged_steps": run.logged_steps,
-            "audit_ratios": ratios,
-            "cost_log": dict(run.cost_log),
-        },
+        "resources": resources_section(run, cfg),
     }
     return json_clean(doc)

@@ -22,6 +22,8 @@ from .embedding import Dataset
 from .linalg import hermiticity_defect, hermitize
 
 ANCHOR_OVERLAP_FLOOR = 1e-6
+# largest dense pairs x 2^q1 register table simulate_qpe may allocate
+QPE_TABLE_BYTE_LIMIT = 1 << 30
 
 
 class FixedPointOverflow(ArithmeticError):
@@ -138,9 +140,11 @@ def simulate_qpe(
     """
     if q1 < 1:
         raise ValueError("q1 must be at least 1")
-    if q1 > 26:
-        raise ValueError("q1 above 26 would not fit the dense register table")
     a_enc = be_extract(be)
+    table_bytes = a_enc.shape[0] * (1 << q1) * 8
+    if table_bytes > QPE_TABLE_BYTE_LIMIT:
+        raise ValueError(f"the phase-register table needs {table_bytes / 2**30:.3g} GiB, above "
+                         f"the {QPE_TABLE_BYTE_LIMIT / 2**30:.3g} GiB limit; lower accuracy-bits")
     if hermiticity_defect(a_enc) > 1e-8:
         raise ValueError("encoded operator is not Hermitian; dilate it first")
     a_enc = hermitize(a_enc)

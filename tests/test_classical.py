@@ -4,7 +4,6 @@ import pytest
 from conftest import make_blobs
 from qmedr.classical import (
     EigenSolution,
-    align_columns,
     apply_dataset_signs,
     exponential_operator,
     project,
@@ -162,12 +161,6 @@ class TestAlignment:
         w1 = np.eye(4)[:, :1]
         w2 = np.eye(4)[:, 1:2]
         assert subspace_angle(w1, w2) == pytest.approx(np.pi / 2)
-
-    def test_align_columns_recovers_rotation(self, rng):
-        y = rng.normal(size=(10, 2))
-        theta = 0.7
-        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        assert np.allclose(align_columns(y @ rot, y), y, atol=1e-9)
 
     def test_apply_dataset_signs_idempotent(self):
         ds = make_blobs(seed=3, n=10, m=4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
-from qmedr import datasets
+from qmedr import datasets, quantum_sim
 from qmedr.cli import main
 from qmedr.pipeline import ConfigError, RunConfig, full_report
 
@@ -191,6 +191,31 @@ class TestCliCommands:
         code = main(["compare", path, "--variant", "EDA", "--m", "2", "--k", "3",
                      "--out-dir", str(tmp_path)])
         assert code == 0
+
+    def test_subcommands_share_report_sections(self, tmp_path):
+        path = self.synth(tmp_path, n=16, features=8)
+        args = [path, "--variant", "EUDP", "--m", "2", "--k", "3", "--analog",
+                "--out-dir", str(tmp_path)]
+        for command in ("compare", "classical", "quantum-sim"):
+            assert main([command] + args) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        classical_doc = json.loads((tmp_path / "classical.json").read_text())
+        quantum_doc = json.loads((tmp_path / "quantum.json").read_text())
+        for section in ("problem", "classical"):
+            assert classical_doc[section] == report[section]
+        for section in ("quantum", "resources"):
+            assert quantum_doc[section] == report[section]
+
+    def test_oversized_phase_register_exit_2(self, tmp_path, monkeypatch):
+        # 20 accuracy bits need a multi-GiB register table; the guard must
+        # reject the config before any register distribution is evaluated
+        def never(*args, **kwargs):
+            raise AssertionError("register table built despite the size guard")
+
+        monkeypatch.setattr(quantum_sim, "qpe_register_distribution", never)
+        path = self.synth(tmp_path, n=32, features=16)
+        code = main(["compare", path, "--accuracy-bits", "20", "--out-dir", str(tmp_path)])
+        assert code == 2
 
     def test_resources_command(self, tmp_path):
         params_file = tmp_path / "params.json"
