@@ -529,10 +529,12 @@ class ControlledSimUnitary:
 
     The index register holds ``j_bits + 1`` qubits in two's complement;
     register value r maps to m = r for r < big_m and m = r - 2*big_m
-    otherwise.
+    otherwise. The unitary is block diagonal, so it is kept as the
+    eigendecomposition ``(w, v)`` of H and each block is formed on demand.
     """
 
-    unitary: DenseUnitary
+    w: np.ndarray
+    v: np.ndarray
     gamma: float
     big_m: int
     epsilon: float
@@ -543,9 +545,7 @@ class ControlledSimUnitary:
     def block(self, m: int) -> np.ndarray:
         if not (-self.big_m <= m <= self.big_m - 1):
             raise ValueError(f"index {m} outside [-{self.big_m}, {self.big_m - 1}]")
-        r = m if m >= 0 else m + 2 * self.big_m
-        s0 = r * self.block_dim
-        return self.unitary.matrix[s0 : s0 + self.block_dim, s0 : s0 + self.block_dim]
+        return (self.v * np.exp(1j * m * self.gamma * self.w)) @ self.v.conj().T
 
 
 def be_controlled_sim(
@@ -566,27 +566,18 @@ def be_controlled_sim(
     delta = spectral_norm(h_enc - h_claim)
 
     w, v = np.linalg.eigh(h_enc)
-    dim = h_enc.shape[0]
-    n_index = 2 * big_m
-    total = n_index * dim
-    big = np.zeros((total, total), dtype=complex)
-    for r in range(n_index):
-        m = r if r < big_m else r - 2 * big_m
-        blk = (v * np.exp(1j * m * gamma * w)) @ v.conj().T
-        s0 = r * dim
-        big[s0 : s0 + dim, s0 : s0 + dim] = blk
-
     epsilon = delta * big_m * abs(gamma) + 1e-12
     cost = resources.CostLog(be.cost).merged(
         {"controlled_sim_queries": resources.controlled_sim_cost(be.alpha, big_m, gamma, max(eps, 1e-12))}
     )
     out = ControlledSimUnitary(
-        unitary=DenseUnitary(big),
+        w=w,
+        v=v,
         gamma=float(gamma),
         big_m=int(big_m),
         epsilon=float(epsilon),
         j_bits=int(math.log2(big_m)),
-        block_dim=dim,
+        block_dim=h_enc.shape[0],
         cost=cost,
     )
     for m in (-big_m, 0, 1, big_m - 1):

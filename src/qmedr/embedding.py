@@ -63,12 +63,12 @@ class Dataset:
 class SimilarityGraph:
     """Heat-kernel similarity over mutual k-nearest neighbors.
 
-    ``S`` is symmetric with zero diagonal and entries in [0, 1]; ``D`` is the
-    degree diagonal and ``L = D - S`` the (PSD) Laplacian.
+    ``S`` is symmetric with zero diagonal and entries in [0, 1]; ``degrees``
+    is the diagonal of the degree matrix D and ``L = D - S`` the (PSD) Laplacian.
     """
 
     S: np.ndarray
-    D: np.ndarray
+    degrees: np.ndarray
     L: np.ndarray
     k: int
     sigma: float
@@ -117,9 +117,28 @@ class MedrProblem:
         return self.s1.shape[0]
 
 
+_DIFF_BLOCK_BYTES = 16 * 2**20
+
+
 def pairwise_sq_distances(x: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - x[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distances between all rows, reduced in row blocks of _DIFF_BLOCK_BYTES at most."""
+    n, f = x.shape
+    rows = max(1, _DIFF_BLOCK_BYTES // (8 * n * f))
+    out = np.empty((n, n))
+    for s0 in range(0, n, rows):
+        diff = x[s0 : s0 + rows, None, :] - x[None, :, :]
+        out[s0 : s0 + rows] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
+
+
+def _nearest_neighbors(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances with an infinite diagonal, and each row's k nearest others."""
+    n = x.shape[0]
+    if not 1 <= k < n:
+        raise ValueError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
+    d2 = pairwise_sq_distances(x)
+    np.fill_diagonal(d2, np.inf)
+    return d2, np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
 def knn_graph(ds: Dataset, k: int, sigma: float | None = None) -> SimilarityGraph:
@@ -129,34 +148,26 @@ def knn_graph(ds: Dataset, k: int, sigma: float | None = None) -> SimilarityGrap
     ties keep the lower sample index.
     """
     n = ds.n_samples
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
-    d2 = pairwise_sq_distances(ds.X)
-    dist = np.sqrt(np.maximum(d2, 0.0))
+    d2, nbrs = _nearest_neighbors(ds.X, k)
     if sigma is None:
-        upper = dist[np.triu_indices(n, 1)]
+        upper = np.sqrt(np.maximum(d2[np.triu_indices(n, 1)], 0.0))
         sigma = float(np.median(upper))
         if sigma <= 0.0:
             raise ValueError("auto sigma is zero: dataset has too many duplicate samples")
     elif sigma <= 0:
         raise ValueError("sigma must be positive")
 
-    d2_self = d2 + np.diag(np.full(n, np.inf))
-    order = np.argsort(d2_self, axis=1, kind="stable")
     neighbor = np.zeros((n, n), dtype=bool)
-    rows = np.repeat(np.arange(n), k)
-    neighbor[rows, order[:, :k].ravel()] = True
+    neighbor[np.repeat(np.arange(n), k), nbrs.ravel()] = True
     mutual_or = neighbor | neighbor.T
 
     s = np.where(mutual_or, np.exp(-d2 / (2.0 * sigma**2)), 0.0)
     np.fill_diagonal(s, 0.0)
     degrees = s.sum(axis=1)
-    d = np.diag(degrees)
-    lap = d - s
     flags = ()
     if np.any(degrees <= 0):
         flags = ("disconnected_vertex",)
-    return SimilarityGraph(S=s, D=d, L=lap, k=k, sigma=sigma, flags=flags)
+    return SimilarityGraph(S=s, degrees=degrees, L=np.diag(degrees) - s, k=k, sigma=sigma, flags=flags)
 
 
 def precondition(raw: np.ndarray, kappa_target: float = DEFAULT_KAPPA):
@@ -169,7 +180,6 @@ def precondition(raw: np.ndarray, kappa_target: float = DEFAULT_KAPPA):
     if kappa_target <= 1.0:
         raise ValueError("kappa_target must exceed 1")
     sym = (raw + raw.T) / 2.0
-    dim = sym.shape[0]
     spec = hermitian_eig(sym)
     lmin, lmax = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
     smax = max(abs(lmin), abs(lmax))
@@ -239,22 +249,22 @@ def build_elpp(ds: Dataset, graph: SimilarityGraph, kappa_target: float = DEFAUL
     """Locality-preserving pair: S1 = X^T L X, S2 = X^T D X."""
     x = ds.X
     flags = list(graph.flags)
-    if np.any(np.diag(graph.D) <= 0):
+    if np.any(graph.degrees <= 0):
         flags.append("degenerate_degree_matrix")
-    return _assemble("ELPP", x.T @ graph.L @ x, x.T @ graph.D @ x, kappa_target, flags, pad_to)
+    # C order keeps the BLAS kernel, and so every bit, of x.T @ D @ x
+    s2 = np.multiply(x.T, graph.degrees, order="C") @ x
+    return _assemble("ELPP", x.T @ graph.L @ x, s2, kappa_target, flags, pad_to)
 
 
 def complement_graph(graph: SimilarityGraph) -> SimilarityGraph:
     """Dissimilarity companion: S'_ij = 1 - S_ij off the diagonal."""
-    n = graph.S.shape[0]
     s_c = 1.0 - graph.S
     np.fill_diagonal(s_c, 0.0)
     deg = s_c.sum(axis=1)
-    d_c = np.diag(deg)
     flags = ()
     if np.all(np.abs(s_c) < 1e-15):
         flags = ("degenerate_complement_graph",)
-    return SimilarityGraph(S=s_c, D=d_c, L=d_c - s_c, k=graph.k, sigma=graph.sigma, flags=flags)
+    return SimilarityGraph(S=s_c, degrees=deg, L=np.diag(deg) - s_c, k=graph.k, sigma=graph.sigma, flags=flags)
 
 
 def build_eudp(ds: Dataset, graph: SimilarityGraph, kappa_target: float = DEFAULT_KAPPA,
@@ -275,14 +285,10 @@ def npe_weights(ds: Dataset, k: int) -> np.ndarray:
     matrix; weights sum to one and vanish outside the neighborhood.
     """
     n = ds.n_samples
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
-    d2 = pairwise_sq_distances(ds.X) + np.diag(np.full(n, np.inf))
-    order = np.argsort(d2, axis=1, kind="stable")
+    _, neighbors = _nearest_neighbors(ds.X, k)
     w = np.zeros((n, n))
     ones = np.ones(k)
-    for i in range(n):
-        nbrs = order[i, :k]
+    for i, nbrs in enumerate(neighbors):
         diffs = ds.X[i] - ds.X[nbrs]
         gram = diffs @ diffs.T
         gram = gram + 1e-8 * np.trace(gram) * np.eye(k)

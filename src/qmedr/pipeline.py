@@ -401,7 +401,7 @@ def graph_summary(ds: Dataset, cfg: RunConfig) -> dict:
         "sigma": graph.sigma,
         "laplacian_row_sum_max": float(np.max(np.abs(graph.L.sum(axis=1)))),
         "laplacian_min_eigenvalue": float(lap_spec[0]),
-        "degree_min": float(np.min(np.diag(graph.D))),
+        "degree_min": float(np.min(graph.degrees)),
         "flags": list(graph.flags),
     })
 

@@ -51,17 +51,20 @@ def partial_trace(psi: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarr
     return moved @ moved.conj().T
 
 
-def qpe_register_distribution(phase: float, q1: int) -> np.ndarray:
-    """Exact q1-bit register distribution for a single eigenphase in [0, 1)."""
-    k = 1 << q1
-    x = k * phase - np.arange(k)
+def _fejer_kernel(x: np.ndarray, k: int) -> np.ndarray:
+    """Register law of a k-bin phase estimator at offsets ``x = k*phase - bin``."""
     den = np.sin(np.pi * x / k) ** 2
     num = np.sin(np.pi * x) ** 2
     exact = den < 1e-24
-    out = np.empty(k)
-    out[exact] = 1.0
+    out = np.ones_like(den)
     out[~exact] = num[~exact] / (k * k * den[~exact])
     return out
+
+
+def qpe_register_distribution(phase: float, q1: int) -> np.ndarray:
+    """Exact q1-bit register distribution for a single eigenphase in [0, 1)."""
+    k = 1 << q1
+    return _fejer_kernel(k * phase - np.arange(k), k)
 
 
 @dataclass(frozen=True)
@@ -252,10 +255,10 @@ def find_extreme_eigenvalues(
     degenerate = bool(remaining) and any(c[0] == chosen[-1][0] for c in remaining)
     idx = [c[1] for c in chosen]
     estimates = per.estimate_for_register(np.array([c[0] for c in chosen], dtype=float))
-    vectors = _first_component_signs(per.eigenvectors[:, idx].copy())
+    # C order, not the Fortran order of column indexing, keeps the bits of later products
     return EigenSolution(
         eigenvalues=np.asarray(estimates, dtype=float),
-        eigenvectors=vectors,
+        eigenvectors=np.ascontiguousarray(per.eigenvectors[:, idx]),
         direction=direction,
         route="quantum-binned",
         degenerate_cut=degenerate,
@@ -292,10 +295,7 @@ def _amplitude_estimation_draw(value: float, eps2: float, rng: np.random.Generat
     theta = math.asin(math.sqrt(min(max(value, 0.0), 1.0))) / math.pi
     center = int(round(theta * k))
     window = np.arange(center - 64, center + 65)
-    x = k * theta - window
-    den = np.sin(np.pi * x / k) ** 2
-    num = np.sin(np.pi * x) ** 2
-    probs = np.where(den < 1e-24, 1.0, num / (k * k * np.maximum(den, 1e-300)))
+    probs = _fejer_kernel(k * theta - window, k)
     probs /= probs.sum()
     drawn = rng.choice(window, size=9, p=probs)
     est = np.sin(np.pi * (drawn % k) / k) ** 2

@@ -169,6 +169,20 @@ class TestCliCommands:
         doc = json.loads((tmp_path / "classical.json").read_text())
         assert doc["classical"]["degenerate_cut"] is True
 
+    def test_strict_compare_degenerate_exit_3(self, tmp_path):
+        # the last of the four selected ENPE eigenvalues shares its register
+        # bin with the next one, so the cut is degenerate and the comparison
+        # aligns its ambiguous columns
+        path = str(tmp_path / "blobs.csv")
+        datasets.save_dataset_csv(datasets.synth_blobs(128, 16, 2, seed=2), path)
+        args = ["compare", path, "--variant", "ENPE", "--m", "4", "--k", "4", "--seed", "2",
+                "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["compare"]["aligned"] is True
+        assert doc["compare"]["ambiguous_columns"] == 2
+        assert main(args + ["--strict"]) == 3
+
     def test_overflow_exit_3(self, tmp_path):
         ds = make_blobs(seed=13, n=12, m=8)
         big = datasets.Dataset(X=500.0 * ds.X, labels=ds.labels)

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import qmedr.embedding as emb
 from conftest import make_blobs
+from qmedr.datasets import synth_blobs
 from qmedr.embedding import (
     Dataset,
     MedrProblem,
@@ -94,6 +98,34 @@ class TestKnnGraph:
             knn_graph(ds, k=1)
 
 
+class TestPairwiseDistances:
+    def test_row_blocks_match_full_tensor(self):
+        ds = synth_blobs(600, 16, 2, seed=4)
+        rows = emb._DIFF_BLOCK_BYTES // (8 * 600 * 16)
+        assert 1 < rows < 600 and 600 % rows != 0
+        diff = ds.X[:, None, :] - ds.X[None, :, :]
+        assert np.array_equal(pairwise_sq_distances(ds.X), np.einsum("ijk,ijk->ij", diff, diff))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_small_blocks_match_full_tensor(self, monkeypatch, rows):
+        x = make_blobs(seed=5, n=20, m=6).X
+        monkeypatch.setattr(emb, "_DIFF_BLOCK_BYTES", rows * 8 * 20 * 6)
+        diff = x[:, None, :] - x[None, :, :]
+        assert np.array_equal(pairwise_sq_distances(x), np.einsum("ijk,ijk->ij", diff, diff))
+
+    @pytest.mark.parametrize("build", [knn_graph, npe_weights])
+    def test_neighbor_search_peak_memory(self, build):
+        # the full N x N x F difference tensor alone is 128 MiB here
+        ds = synth_blobs(512, 64, 2, seed=0)
+        tracemalloc.start()
+        try:
+            build(ds, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
+
 class TestPrecondition:
     def test_window(self, rng):
         for _ in range(10):
@@ -136,9 +168,18 @@ class TestBuilders:
         ds = make_blobs(seed=13, n=32, m=16)
         g = knn_graph(ds, k=4)
         x = ds.X
-        for raw in (x.T @ g.L @ x, x.T @ g.D @ x):
+        for raw in (x.T @ g.L @ x, x.T @ np.diag(g.degrees) @ x):
             assert np.allclose(raw, raw.T, atol=1e-9)
             assert hermitian_eig(raw).eigenvalues[0] >= -1e-9 * spectral_norm(raw)
+
+    def test_elpp_s2_matches_dense_degree_matrix(self, monkeypatch):
+        ds = make_blobs(seed=13, n=40, m=12)
+        g = knn_graph(ds, k=4)
+        raws = []
+        monkeypatch.setattr(emb, "_assemble", lambda variant, s1, s2, *rest: raws.append(s2))
+        build_elpp(ds, g)
+        x = ds.X
+        assert np.array_equal(raws[0], x.T @ np.diag(g.degrees) @ x)
 
     def test_raw_pairs_psd_except_enpe_s1(self):
         # every variant's raw pair is symmetric PSD; ENPE's reconstruction
@@ -151,7 +192,7 @@ class TestBuilders:
         x = ds.X
         psd_raws = {
             "ELPP_S1": x.T @ g.L @ x,
-            "ELPP_S2": x.T @ g.D @ x,
+            "ELPP_S2": x.T @ np.diag(g.degrees) @ x,
             "EUDP_S2": x.T @ comp.L @ x,
             "ENPE_S2": x.T @ x,
             "EDA_S1": s_b,
@@ -182,7 +223,7 @@ class TestBuilders:
         comp = complement_graph(g)
         n = 10
         j_off = np.ones((n, n)) - np.eye(n)
-        assert np.allclose(g.L + comp.L, g.D + comp.D - j_off, atol=1e-12)
+        assert np.allclose(g.L + comp.L, np.diag(g.degrees) + np.diag(comp.degrees) - j_off, atol=1e-12)
 
     def test_eudp_fully_similar_degenerate(self):
         ds = Dataset(X=np.vstack([np.zeros(3), np.zeros(3), np.zeros(3)]) + 1.0)
