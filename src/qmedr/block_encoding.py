@@ -246,10 +246,9 @@ class LcuUnitary:
 
     def unitarity_defect(self) -> float:
         def compute():
-            if self.dim <= _DENSE_CHECK_LIMIT:
-                return DenseUnitary(self.to_dense()).unitarity_defect()
             # spectral-norm leaf defects, which bound the max-abs defect of
             # U^dag U - I = P^T S^dag (P P^T - I) S P + P^T (S^dag S - I) P + (P^T P - I)
+            # at every size, so the dense product is never formed
             d_p = _spectral_defect(self.prep)
             d_s = max(_spectral_defect(blk) for blk in self.blocks)
             return d_p + (1.0 + d_p) * d_s + (1.0 + d_p) * (1.0 + d_s) * d_p

@@ -138,7 +138,16 @@ def _nearest_neighbors(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
     d2 = pairwise_sq_distances(x)
     np.fill_diagonal(d2, np.inf)
-    return d2, np.argsort(d2, axis=1, kind="stable")[:, :k]
+    # the first k columns of a stable argsort, without sorting whole rows:
+    # every entry below the k-th value, then the lowest-index ties at it
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    below = d2 < kth
+    at = d2 == kth
+    ties_kept = k - below.sum(axis=1, keepdims=True)
+    keep = below | (at & (np.cumsum(at, axis=1) <= ties_kept))
+    cols = np.nonzero(keep)[1].reshape(n, k)
+    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+    return d2, np.take_along_axis(cols, order, axis=1)
 
 
 def knn_graph(ds: Dataset, k: int, sigma: float | None = None) -> SimilarityGraph:

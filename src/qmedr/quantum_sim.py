@@ -1,7 +1,8 @@
 """Simulated quantum pipeline over exact statevector algebra.
 
-Phase estimation is evaluated analytically (Fejer-kernel register
-distributions per eigenpair of the encoded operator), threshold-oracle
+Phase estimation is evaluated analytically (the Fejer-kernel register law
+of each eigenpair of the encoded operator, read only at the bins a query
+needs, so no pairs x 2^q1 table is built), threshold-oracle
 minimum finding runs as a deterministic expected-value loop, and the
 digital/analog output states are assembled with either worst-case or seeded
 sampled estimation noise. All randomness is drawn from explicit seeds;
@@ -22,8 +23,6 @@ from .embedding import Dataset
 from .linalg import hermiticity_defect, hermitize
 
 ANCHOR_OVERLAP_FLOOR = 1e-6
-# largest dense pairs x 2^q1 register table simulate_qpe may allocate
-QPE_TABLE_BYTE_LIMIT = 1 << 30
 
 
 class FixedPointOverflow(ArithmeticError):
@@ -35,20 +34,6 @@ class FixedPointOverflow(ArithmeticError):
         super().__init__(
             f"value {max_value:.6g} needs {required_int_bits} integer bits"
         )
-
-
-def maximally_entangled_probe(dim: int) -> np.ndarray:
-    """Statevector of sum_i |i>|i> / sqrt(dim)."""
-    psi = np.zeros(dim * dim)
-    psi[np.arange(dim) * dim + np.arange(dim)] = 1.0 / math.sqrt(dim)
-    return psi
-
-
-def partial_trace(psi: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarray:
-    """Reduced density matrix of one register of a pure state."""
-    psi = np.asarray(psi).reshape(dims)
-    moved = np.moveaxis(psi, keep, 0).reshape(dims[keep], -1)
-    return moved @ moved.conj().T
 
 
 def _fejer_kernel(x: np.ndarray, k: int) -> np.ndarray:
@@ -67,13 +52,19 @@ def qpe_register_distribution(phase: float, q1: int) -> np.ndarray:
     return _fejer_kernel(k * phase - np.arange(k), k)
 
 
+# offsets around round(k * phase) that hold the register's most likely bin:
+# the nearest bin has mass >= 4/pi^2 and any bin 3/2 or more away <= 1/9
+_PEAK_WINDOW = np.arange(-2, 3)
+
+
 @dataclass(frozen=True)
 class PhaseEstimationResult:
     """Analytic phase-register statistics for every retained eigenpair.
 
-    ``mass[j]`` is the full register distribution of eigenpair j (rows sum to
-    one); ``weights`` are the probe weights (uniform over pairs). For dilated
-    inputs the retained pairs are the positive branch after amplitude
+    ``phases[j]`` is eigenpair j's eigenphase in [0, 1); its register law is
+    the Fejer kernel around ``phases[j] * 2**q1``, evaluated only at the bins
+    a query reads. ``weights`` are the probe weights (uniform over pairs). For
+    dilated inputs the retained pairs are the positive branch after amplitude
     amplification on the flagged component.
     """
 
@@ -81,7 +72,7 @@ class PhaseEstimationResult:
     t: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    mass: np.ndarray
+    phases: np.ndarray
     weights: np.ndarray
     eta: float | None = None
     accuracy_bits: int | None = None
@@ -96,6 +87,15 @@ class PhaseEstimationResult:
     def n_pairs(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def register_law(self, j: int) -> np.ndarray:
+        """Full 2**q1-bin register distribution of eigenpair j (built on demand)."""
+        return qpe_register_distribution(self.phases[j], self.q1)
+
+    @property
+    def mass(self) -> np.ndarray:
+        """Dense pairs x 2**q1 table of every register law (built on demand)."""
+        return np.stack([self.register_law(j) for j in range(self.n_pairs)])
+
     def total_mass(self) -> float:
         return float(self.weights @ self.mass.sum(axis=1))
 
@@ -103,13 +103,18 @@ class PhaseEstimationResult:
         return (np.asarray(k) / self.register_size) * (2.0 * np.pi / self.t)
 
     def dominant_bins(self) -> np.ndarray:
-        return np.argmax(self.mass, axis=1)
+        """Most likely register value of each pair, lowest index among ties."""
+        k = self.register_size
+        bins = (np.rint(k * self.phases).astype(np.int64)[:, None] + _PEAK_WINDOW) % k
+        law = _fejer_kernel(k * self.phases[:, None] - bins, k)
+        peak = law == law.max(axis=1, keepdims=True)
+        return np.where(peak, bins, k).min(axis=1)
 
     def bins(self, threshold: float = 1e-12) -> list:
         """Pruned (register value, eigenvalue estimate, mass, pair index) tuples."""
         out = []
         for j in range(self.n_pairs):
-            row = self.mass[j] * self.weights[j]
+            row = self.register_law(j) * self.weights[j]
             for k in np.nonzero(row > threshold)[0]:
                 out.append((int(k), float(self.estimate_for_register(k)), float(row[k]), int(j)))
         return out
@@ -117,11 +122,14 @@ class PhaseEstimationResult:
     def mass_within(self, j: int, bits: int) -> float:
         """Mass within the bins whose phase is bits-accurate for pair j."""
         k = self.register_size
-        phase = (self.eigenvalues[j] * self.t / (2.0 * np.pi)) % 1.0
-        offsets = np.arange(k)
+        phase = self.phases[j]
+        reach = k * 2.0 ** (-bits)
+        near = np.arange(math.floor(k * phase - reach) - 1, math.ceil(k * phase + reach) + 2)
+        offsets = np.unique(near % k)
         dist = np.abs(offsets / k - phase)
         dist = np.minimum(dist, 1.0 - dist)
-        return float(self.mass[j][dist < 2.0 ** (-bits)].sum())
+        offsets = offsets[dist < 2.0 ** (-bits)]
+        return float(_fejer_kernel(k * phase - offsets, k).sum())
 
 
 def simulate_qpe(
@@ -140,14 +148,16 @@ def simulate_qpe(
     operator [[0, E], [E^T, 0]]) the positive-eigenvalue branch flagged by the
     dilation qubit is amplified with exact projector algebra and the retained
     pairs are E's singular values with right singular vectors.
+
+    No register table is built, so the cost is O(pairs) at any q1. The branch
+    success probability uses the +/- pair identity: the dilation's pairs have
+    phases p and 1 - p, their register laws are mirror images, and each law
+    sums to one, so the two members' positive-bin masses (bins 1 .. k/2 - 1)
+    add up to 1 - F(k p) - F(k p - k/2), F the Fejer kernel.
     """
     if q1 < 1:
         raise ValueError("q1 must be at least 1")
     a_enc = be_extract(be)
-    table_bytes = a_enc.shape[0] * (1 << q1) * 8
-    if table_bytes > QPE_TABLE_BYTE_LIMIT:
-        raise ValueError(f"the phase-register table needs {table_bytes / 2**30:.3g} GiB, above "
-                         f"the {QPE_TABLE_BYTE_LIMIT / 2**30:.3g} GiB limit; lower accuracy-bits")
     if hermiticity_defect(a_enc) > 1e-8:
         raise ValueError("encoded operator is not Hermitian; dilate it first")
     a_enc = hermitize(a_enc)
@@ -161,43 +171,40 @@ def simulate_qpe(
     log.charge("qpe_runs", 1.0)
     log.charge("qpe_controlled_queries", float((1 << q1) - 1))
 
-    k_reg = 1 << q1
+    phases_all = (w * t / (2.0 * np.pi)) % 1.0
     if not dilated:
         dim = w.shape[0]
-        phases = (w * t / (2.0 * np.pi)) % 1.0
-        mass = np.stack([qpe_register_distribution(p, q1) for p in phases])
         weights = np.full(dim, 1.0 / dim)
         vectors = _first_component_signs(v)
         return PhaseEstimationResult(
-            q1=q1, t=t, eigenvalues=w, eigenvectors=vectors, mass=mass,
+            q1=q1, t=t, eigenvalues=w, eigenvectors=vectors, phases=phases_all,
             weights=weights, eta=eta, accuracy_bits=accuracy_bits,
             dilated=False, success_probability=1.0,
         )
 
     two_m = w.shape[0]
     half = two_m // 2
-    phases_all = (w * t / (2.0 * np.pi)) % 1.0
-    mass_all = np.stack([qpe_register_distribution(p, q1) for p in phases_all])
-    pos_bins = np.zeros(k_reg, dtype=bool)
-    pos_bins[1 : k_reg // 2] = True
+    positive = np.nonzero(w > 0)[0]
+    # eigh sorts ascending, so pair i is (w[half + i], w[half - 1 - i])
+    pair_sums = w[half:] + w[half - 1 :: -1]
+    if positive.size != half or np.any(np.abs(pair_sums) > 1e-9 * np.max(np.abs(w))):
+        raise ValueError("dilated operator does not split into +/- pairs; is E singular?")
     flagged = np.linalg.norm(v[half:, :], axis=0) ** 2
-    branch_mass = (1.0 / two_m) * (flagged**2) * (mass_all[:, pos_bins].sum(axis=1))
-    success = float(branch_mass.sum())
+    pair_flag = 0.5 * (flagged[half:] ** 2 + flagged[half - 1 :: -1] ** 2)
+    k = 1 << q1
+    kp = k * phases_all[half:]
+    pair_posmass = 1.0 - _fejer_kernel(kp, k) - _fejer_kernel(kp - k // 2, k)
+    success = float(((1.0 / two_m) * pair_flag * pair_posmass).sum())
     log.charge("qpe_branch_amplification_iterations", resources.grover_iterations(success))
 
-    positive = np.nonzero(w > 0)[0]
-    if positive.size != half:
-        raise ValueError("dilated operator does not split into +/- pairs; is E singular?")
     sub = v[half:, positive]
     norms = np.linalg.norm(sub, axis=0)
     vectors = _first_component_signs(sub / norms)
-    eigenvalues = w[positive]
-    mass = mass_all[positive]
     weights = np.full(half, 1.0 / half)
     return PhaseEstimationResult(
-        q1=q1, t=t, eigenvalues=eigenvalues, eigenvectors=vectors, mass=mass,
-        weights=weights, eta=eta, accuracy_bits=accuracy_bits,
-        dilated=True, success_probability=success,
+        q1=q1, t=t, eigenvalues=w[positive], eigenvectors=vectors,
+        phases=phases_all[positive], weights=weights, eta=eta,
+        accuracy_bits=accuracy_bits, dilated=True, success_probability=success,
     )
 
 

@@ -311,8 +311,7 @@ class TestLcuUnitary:
                     assert np.iscomplexobj(dense) == np.iscomplexobj(h)
                     assert np.max(np.abs(enc.unitary.top_left(dim) - dense[:dim, :dim])) <= 1e-13
 
-    def test_leaf_bound_dominates_dense_defect(self, rng, monkeypatch):
-        monkeypatch.setattr(bk, "_DENSE_CHECK_LIMIT", 0)
+    def test_leaf_bound_dominates_dense_defect(self, rng):
         for dim in (2, 4, 8, 16):
             for make in (random_hermitian_in_window, _complex_hermitian_in_window):
                 enc = be_exp(block_encode_dense(make(rng, dim, 2.0), alpha=1.0), -1, 1e-8, kappa=2.0)
@@ -320,8 +319,7 @@ class TestLcuUnitary:
                 dense = DenseUnitary(enc.unitary.to_dense()).unitarity_defect()
                 assert dense <= leaf <= 1e-9
 
-    def test_leaf_bound_rejects_scaled_block(self, rng, monkeypatch):
-        monkeypatch.setattr(bk, "_DENSE_CHECK_LIMIT", 0)
+    def test_leaf_bound_rejects_scaled_block(self, rng):
         enc = be_exp(block_encode_dense(random_hermitian_in_window(rng, 4, 2.0), alpha=1.0),
                      +1, 1e-8, kappa=2.0)
         lcu = enc.unitary

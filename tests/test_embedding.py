@@ -125,6 +125,15 @@ class TestPairwiseDistances:
             tracemalloc.stop()
         assert peak < 48 * 2**20
 
+    @pytest.mark.parametrize("n", [2, 7, 64, 1024])
+    def test_partial_search_matches_stable_argsort(self, n):
+        # integer grid points: many equal distances, so ties straddle the k-th value
+        rng = np.random.default_rng(n)
+        x = rng.integers(0, 4, size=(n, 2)).astype(float)
+        for k in sorted({1, min(5, n - 1), max(1, n // 2), n - 1}):
+            d2, nbrs = emb._nearest_neighbors(x, k)
+            assert np.array_equal(nbrs, np.argsort(d2, axis=1, kind="stable")[:, :k])
+
 
 class TestPrecondition:
     def test_window(self, rng):

@@ -8,18 +8,17 @@ from qmedr.embedding import Dataset, build_problem
 from qmedr.linalg import spectral_norm
 from qmedr.quantum_sim import (
     FixedPointOverflow,
+    PhaseEstimationResult,
     assemble_analog_state,
     assemble_digital_state,
     estimate_inner_products,
     find_extreme_eigenvalues,
     hadamard_test,
-    maximally_entangled_probe,
-    partial_trace,
     qpe_register_distribution,
     recommended_eps2,
     simulate_qpe,
 )
-from qmedr import resources
+from qmedr import datasets, pipeline, quantum_sim, resources
 
 
 def basis_solution(dim, cols, direction="smallest"):
@@ -44,17 +43,6 @@ class TestRegisterDistribution:
         dist = qpe_register_distribution(0.2137, 8)
         assert dist.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.argmax(dist) == round(0.2137 * 256)
-
-
-class TestProbe:
-    def test_maximally_entangled_reduction(self):
-        m = 6
-        probe = maximally_entangled_probe(m)
-        q1_dim = 8
-        psi = np.zeros((q1_dim, m, m))
-        psi[0] = probe.reshape(m, m)
-        rho = partial_trace(psi.ravel(), (q1_dim, m, m), keep=2)
-        assert np.allclose(rho, np.eye(m) / m, atol=1e-12)
 
 
 class TestSimulateQpe:
@@ -148,6 +136,93 @@ class TestSimulateQpe:
         assert total == pytest.approx(1.0, abs=1e-3)
         k, est, _, _ = listed[0]
         assert est == pytest.approx(per.estimate_for_register(k))
+
+
+def _per_with_phases(phases, q1):
+    n = len(phases)
+    return PhaseEstimationResult(
+        q1=q1, t=2.0 * np.pi, eigenvalues=np.asarray(phases, dtype=float), eigenvectors=np.eye(n),
+        phases=np.asarray(phases, dtype=float), weights=np.full(n, 1.0 / n),
+    )
+
+
+def _dense_success(dil, q1, t):
+    """Positive-branch mass summed over the full pairs x 2^q1 register table."""
+    w, v = np.linalg.eigh(dil.extracted().real)
+    k = 1 << q1
+    table = np.stack([qpe_register_distribution(p, q1) for p in (w * t / (2 * np.pi)) % 1.0])
+    flagged = np.linalg.norm(v[w.shape[0] // 2 :, :], axis=0) ** 2
+    return float(((flagged**2) * table[:, 1 : k // 2].sum(axis=1)).sum() / w.shape[0])
+
+
+class TestTableFreeQpe:
+    @pytest.mark.parametrize("q1", range(1, 17))
+    def test_window_argmax_matches_dense_row(self, q1):
+        k = 1 << q1
+        rng = np.random.default_rng(q1)
+        edges = [0.0, 0.5, 1.0]
+        phases = np.concatenate([
+            rng.random(40),
+            np.arange(min(k, 8)) / k,                      # exact bins
+            (np.arange(min(k, 8)) + 0.5) / k,              # half-bins
+            [e + d for e in edges for d in (-1e-12, 1e-12)],
+            [np.nextafter(1.0, 0.0), (k - 0.5) / k],        # wrap: bins k-1 and 0 compete
+        ])
+        phases = phases[(phases >= 0.0) & (phases < 1.0)]
+        per = _per_with_phases(phases, q1)
+        dense = np.array([np.argmax(per.register_law(j)) for j in range(per.n_pairs)])
+        assert np.array_equal(per.dominant_bins(), dense)
+
+    def test_mass_within_matches_dense_mask(self):
+        rng = np.random.default_rng(7)
+        for q1 in (3, 8, 12):
+            k = 1 << q1
+            per = _per_with_phases(np.concatenate([rng.random(10), [0.0, 1e-13, 1 - 1e-13]]), q1)
+            for j in range(per.n_pairs):
+                dist = np.abs(np.arange(k) / k - per.phases[j])
+                dist = np.minimum(dist, 1.0 - dist)
+                for bits in range(1, q1 + 1):
+                    dense = float(per.register_law(j)[dist < 2.0 ** (-bits)].sum())
+                    assert per.mass_within(j, bits) == dense
+
+    def test_pair_identity_matches_dense_success(self):
+        # (at q1 = 1 the positive bins 1 .. k/2 - 1 are empty)
+        rng = np.random.default_rng(11)
+        for q1 in range(2, 13):
+            dim = int(rng.choice([2, 4, 8]))
+            a = rng.normal(size=(dim, dim))
+            a = 0.5 * a / spectral_norm(a) + rng.uniform(0.3, 0.9) * np.eye(dim)
+            dil = be_hermitian_dilation(block_encode_dense(a, alpha=spectral_norm(a) + 0.1))
+            t = rng.uniform(0.5, 1.0) * np.pi / (spectral_norm(a) + 0.2)
+            per = simulate_qpe(dil, q1, t, dilated=True)
+            assert abs(per.success_probability - _dense_success(dil, q1, t)) <= 1e-14
+
+    def test_unpaired_spectrum_rejected(self):
+        # one positive and one negative eigenvalue, but not a +/- pair
+        be = block_encode_dense(np.diag([0.5, -0.3]), alpha=1.0)
+        with pytest.raises(ValueError, match="pairs"):
+            simulate_qpe(be, 6, t=2.0, dilated=True)
+
+    def test_large_register_needs_no_table(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("register law built")
+
+        monkeypatch.setattr(quantum_sim, "qpe_register_distribution", never)
+        be = block_encode_dense(np.diag([0.2, 0.7]), alpha=1.0)
+        per = simulate_qpe(be, 40, t=2.0)
+        k = 1 << 40
+        assert np.array_equal(per.dominant_bins(), np.rint(k * per.phases).astype(np.int64))
+        assert per.mass_within(0, 20) > 0.99
+
+    @pytest.mark.parametrize("variant", pipeline.VARIANTS)
+    def test_full_report_builds_no_register_law(self, variant, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("register law built on the pipeline path")
+
+        monkeypatch.setattr(quantum_sim, "qpe_register_distribution", never)
+        ds = datasets.synth_blobs(32, 16, 2, seed=0)
+        doc = pipeline.full_report(ds, pipeline.RunConfig(variant=variant, m=2, k=4, analog=True))
+        assert doc["compare"]["passed"]
 
 
 class TestFindExtreme:

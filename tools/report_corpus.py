@@ -1,6 +1,7 @@
 """Digest the CLI's report files over a fixed corpus of configs.
 
-    python tools/report_corpus.py [--src DIR] > digests.txt
+    python tools/report_corpus.py [--src DIR] [--keep DIR] > digests.txt
+    python tools/report_corpus.py --diff A B
 
 For every config it runs ``qmedr compare`` and ``qmedr graph`` through
 ``qmedr.cli.main`` into a temporary directory and prints one line: the
@@ -8,6 +9,13 @@ config, the two exit codes and the sha256 of ``report.json``,
 ``compare.csv`` and ``graph.json``. Run it on two source trees (``--src``
 points at a tree's ``src`` directory; the default is this repository's) and
 diff the outputs: equal lines mean byte-identical reports.
+
+``--keep DIR`` writes the datasets and every config's output directory under
+DIR instead of a temporary directory. ``--diff A B`` compares two such
+directories: for each config whose files differ it prints every differing
+``report.json`` leaf by JSON path with its maximum absolute delta (numeric
+leaves) or both values, and names each other file whose bytes differ. A
+change that moves a field in its last bits is then stated field by field.
 
 Corpus: ``synth_blobs`` data with two classes and seed 0 at
 (N, F) in {(32, 16), (64, 32), (128, 64), (40, 12)} x the four variants x
@@ -21,6 +29,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -45,27 +54,108 @@ def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
 
 
+def run_corpus(src: str, root: Path) -> None:
+    sys.path.insert(0, src)
+    from qmedr import cli, datasets
+
+    for n, f in SHAPES:
+        datasets.save_dataset_csv(datasets.synth_blobs(n, f, 2, seed=0), str(root / f"{n}x{f}.csv"))
+    for n, f, variant, mode, analog in corpus():
+        out = root / f"{n}x{f}-{variant}-{mode}-{int(analog)}"
+        argv = [str(root / f"{n}x{f}.csv"), "--variant", variant, "--mode", mode,
+                "--out-dir", str(out)] + (["--analog"] if analog else [])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = [cli.main([command] + argv) for command in ("compare", "graph")]
+        digests = " ".join(digest(out / name) for name in OUTPUTS)
+        print(f"{n}x{f} {variant} {mode} analog={int(analog)} rc={rc[0]}/{rc[1]} {digests}",
+              flush=True)
+
+
+def json_leaves(doc, path: str = "$"):
+    """Yield (JSON path, value) for every scalar leaf of a parsed document."""
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            yield from json_leaves(doc[key], f"{path}.{key}")
+    elif isinstance(doc, list):
+        for i, item in enumerate(doc):
+            yield from json_leaves(item, f"{path}[{i}]")
+    else:
+        yield path, doc
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def diff_reports(a: Path, b: Path) -> dict:
+    """Differing leaves of two report.json files: path -> (delta or None, a, b)."""
+    leaves_a = dict(json_leaves(json.loads(a.read_text())))
+    leaves_b = dict(json_leaves(json.loads(b.read_text())))
+    out = {}
+    for path in sorted(leaves_a.keys() | leaves_b.keys()):
+        va, vb = leaves_a.get(path), leaves_b.get(path)
+        if va == vb and type(va) is type(vb):
+            continue
+        delta = abs(vb - va) if _is_number(va) and _is_number(vb) else None
+        out[path] = (delta, va, vb)
+    return out
+
+
+def diff_trees(a: Path, b: Path) -> int:
+    """Print every differing file and report.json leaf; return the count of configs that differ."""
+    configs = sorted({p.name for p in a.iterdir() if p.is_dir()}
+                     | {p.name for p in b.iterdir() if p.is_dir()})
+    differing = 0
+    worst: dict[str, float] = {}
+    changed: set[str] = set()
+    for config in configs:
+        names = sorted({p.name for p in (a / config).glob("*")}
+                       | {p.name for p in (b / config).glob("*")})
+        lines = []
+        for name in names:
+            fa, fb = a / config / name, b / config / name
+            if digest(fa) == digest(fb):
+                continue
+            if name == "report.json" and fa.exists() and fb.exists():
+                for path, (delta, va, vb) in diff_reports(fa, fb).items():
+                    if delta is None:
+                        lines.append(f"  {path}: {va!r} -> {vb!r}")
+                        changed.add(path)
+                    else:
+                        lines.append(f"  {path}: |delta| {delta:.3g}")
+                        worst[path] = max(worst.get(path, 0.0), delta)
+            else:
+                lines.append(f"  {name}: bytes differ")
+        if lines:
+            differing += 1
+            print(config)
+            print("\n".join(lines))
+    print(f"{differing} of {len(configs)} configs differ")
+    for path, delta in sorted(worst.items()):
+        print(f"{path}: max |delta| {delta:.3g} over the corpus")
+    for path in sorted(changed):
+        print(f"{path}: non-numeric change")
+    return differing
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="source directory holding the qmedr package")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="write the datasets and every config's outputs under DIR")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                        help="compare two --keep directories leaf by leaf and exit")
     args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
-    from qmedr import cli, datasets
-
+    if args.diff:
+        return 1 if diff_trees(Path(args.diff[0]), Path(args.diff[1])) else 0
+    if args.keep:
+        root = Path(args.keep)
+        root.mkdir(parents=True, exist_ok=True)
+        run_corpus(args.src, root)
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        for n, f in SHAPES:
-            datasets.save_dataset_csv(datasets.synth_blobs(n, f, 2, seed=0), str(root / f"{n}x{f}.csv"))
-        for n, f, variant, mode, analog in corpus():
-            out = root / f"{n}x{f}-{variant}-{mode}-{int(analog)}"
-            argv = [str(root / f"{n}x{f}.csv"), "--variant", variant, "--mode", mode,
-                    "--out-dir", str(out)] + (["--analog"] if analog else [])
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                rc = [cli.main([command] + argv) for command in ("compare", "graph")]
-            digests = " ".join(digest(out / name) for name in OUTPUTS)
-            print(f"{n}x{f} {variant} {mode} analog={int(analog)} rc={rc[0]}/{rc[1]} {digests}",
-                  flush=True)
+        run_corpus(args.src, Path(tmp))
     return 0
 
 
