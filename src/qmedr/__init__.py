@@ -6,8 +6,6 @@ complexity accounting, cross-checked against a classical reference."""
 from .block_encoding import (
     BlockEncoding,
     BlockEncodingError,
-    ControlledSimUnitary,
-    be_controlled_sim,
     be_exp,
     be_extract,
     be_hermitian_dilation,
@@ -61,7 +59,6 @@ __all__ = [
     "BlockEncoding",
     "BlockEncodingError",
     "CompressedOutput",
-    "ControlledSimUnitary",
     "Dataset",
     "DigitalState",
     "EigenSolution",
@@ -74,7 +71,6 @@ __all__ = [
     "SimilarityGraph",
     "assemble_analog_state",
     "assemble_digital_state",
-    "be_controlled_sim",
     "be_exp",
     "be_extract",
     "be_hermitian_dilation",

@@ -9,9 +9,10 @@ to an abstract tally instead of being executed.
 Composite unitaries (products, Hermitian dilations and the
 prepare-select-unprepare combination behind exponential encodings) keep an
 exactly factored form so large register counts stay affordable: the factored
-objects expose the same dense matrix (for small dimensions), exact top-left
-block extraction, and a unitarity defect bound derived from their verified
-leaves.
+objects expose the same dense matrix (for small dimensions) and exact
+top-left block extraction. Every unitary's ``unitarity_defect`` is a bound on
+the spectral norm of U^dag U - I: measured on a dense matrix, and built from
+the factors' defects for a composite, never from its dense form.
 """
 
 from __future__ import annotations
@@ -30,20 +31,22 @@ from .linalg import (
     hermitian_eig,
     hermitize,
     spectral_norm,
+    unitarity_defect as _dense_defect,
 )
 
 EXP_NORMALIZATION = float(np.exp(2.0))
 
-_DENSE_CHECK_LIMIT = 1024
 _MATERIALIZE_LIMIT = 4096
+
+# A composite's defect bound holds in exact arithmetic for products that are
+# never formed. A dense evaluation of them rounds by about sqrt(dim) * eps_mach
+# (the probabilistic growth of inner-product rounding), and each composite adds
+# that much so its bound also dominates the dense defect.
+_EPS_MACH = float(np.finfo(float).eps)
 
 
 class BlockEncodingError(ValueError):
     """Raised when a construction cannot certify its claimed encoding."""
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 def _cs_dilation(c: np.ndarray) -> np.ndarray:
@@ -80,6 +83,24 @@ def _memoized_defect(obj, compute):
     return cached
 
 
+def _hermitian_norm(h: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+
+
+def _leaf_defect(c: np.ndarray, s: np.ndarray) -> float:
+    """Spectral-norm bound on B^dag B - I for the leaf B = [[c, s], [s, -c]].
+
+    B^dag B - I = [[A, X], [-X, A]] with A = c^dag c + s^dag s - I Hermitian
+    and X = c^dag s - s^dag c anti-Hermitian, so ||A|| + ||X|| bounds it from
+    d-dim pieces.
+    """
+    cs = c.conj().T @ s
+    a = c.conj().T @ c + s.conj().T @ s - np.eye(c.shape[0])
+    x = cs - cs.conj().T
+    # ||X||^2 = ||X^dag X||, a real eigenproblem for real leaves
+    return _hermitian_norm(a) + math.sqrt(_hermitian_norm(x.conj().T @ x))
+
+
 @dataclass(frozen=True)
 class DenseUnitary:
     matrix: np.ndarray
@@ -97,11 +118,7 @@ class DenseUnitary:
         return self.matrix[:d, :d]
 
     def unitarity_defect(self) -> float:
-        def compute():
-            u = self.matrix
-            return np.max(np.abs(u.conj().T @ u - np.eye(self.dim)))
-
-        return _memoized_defect(self, compute)
+        return _memoized_defect(self, lambda: _dense_defect(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -138,12 +155,9 @@ class ProductUnitary:
         return self.left.top_left(d) @ self.right.top_left(d)
 
     def unitarity_defect(self) -> float:
-        def compute():
-            if self.dim <= _DENSE_CHECK_LIMIT:
-                return DenseUnitary(self.to_dense()).unitarity_defect()
-            return self.left.unitarity_defect() + self.right.unitarity_defect()
-
-        return _memoized_defect(self, compute)
+        # (LR)^dag LR - I = R^dag (L^dag L - I) R + (R^dag R - I), ||R||^2 <= 1 + d_r
+        d_l, d_r = self.left.unitarity_defect(), self.right.unitarity_defect()
+        return d_l + d_r + d_l * d_r + math.sqrt(self.dim) * _EPS_MACH
 
 
 @dataclass(frozen=True)
@@ -200,58 +214,53 @@ class DilationUnitary:
         return out
 
     def unitarity_defect(self) -> float:
-        def compute():
-            if self.dim <= _DENSE_CHECK_LIMIT:
-                return DenseUnitary(self.to_dense()).unitarity_defect()
-            return self.inner.unitarity_defect()
-
-        return _memoized_defect(self, compute)
-
-
-def _spectral_defect(u: np.ndarray) -> float:
-    # U^dag U - I is Hermitian, so its spectral norm is its largest |eigenvalue|
-    return float(np.max(np.abs(np.linalg.eigvalsh(u.conj().T @ u - np.eye(u.shape[0])))))
+        # the swaps and sigma_x are exact permutations, and U U^dag - I has the
+        # same spectrum as U^dag U - I
+        return self.inner.unitarity_defect() + math.sqrt(self.dim) * _EPS_MACH
 
 
 @dataclass(frozen=True)
 class LcuUnitary:
     """Prepare-select-unprepare on registers (index, flag qubit, system).
 
-    Realizes (P^T x I) . (sum_l |l><l| x blocks[l]) . (P x I) for a real
-    orthogonal prepare P; its top-left system block is exactly
-    sum_l P[l, 0]^2 * blocks[l][:d, :d].
+    Realizes (P^T x I) . (sum_l |l><l| x B_l) . (P x I) for a real orthogonal
+    prepare P, where each select leaf B_l = [[cos[l], sin[l]], [sin[l], -cos[l]]]
+    is kept as its two d-dim blocks; the top-left system block is exactly
+    sum_l P[l, 0]^2 * cos[l].
     """
 
     prep: np.ndarray
-    blocks: tuple[np.ndarray, ...]
+    cos: tuple[np.ndarray, ...]
+    sin: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
-        return self.prep.shape[0] * self.blocks[0].shape[0]
+        return self.prep.shape[0] * 2 * self.cos[0].shape[0]
 
     def to_dense(self, limit: int = _MATERIALIZE_LIMIT) -> np.ndarray:
         if self.dim > limit:
             raise MemoryError(f"refusing to materialize {self.dim}x{self.dim} unitary")
-        width = self.blocks[0].shape[0]
-        select = np.zeros((self.dim, self.dim), dtype=self.blocks[0].dtype)
-        for l, blk in enumerate(self.blocks):
+        width = 2 * self.cos[0].shape[0]
+        select = np.zeros((self.dim, self.dim), dtype=self.cos[0].dtype)
+        for l, (c, s) in enumerate(zip(self.cos, self.sin)):
             s0 = l * width
-            select[s0 : s0 + width, s0 : s0 + width] = blk
+            select[s0 : s0 + width, s0 : s0 + width] = np.block([[c, s], [s, -c]])
         prep_full = np.kron(self.prep, np.eye(width))
         return prep_full.T @ select @ prep_full
 
     def top_left(self, d: int) -> np.ndarray:
         weights = self.prep[:, 0] ** 2
-        return sum(w * blk[:d, :d] for w, blk in zip(weights, self.blocks) if w != 0.0)
+        return sum(w * c[:d, :d] for w, c in zip(weights, self.cos) if w != 0.0)
 
     def unitarity_defect(self) -> float:
         def compute():
-            # spectral-norm leaf defects, which bound the max-abs defect of
-            # U^dag U - I = P^T S^dag (P P^T - I) S P + P^T (S^dag S - I) P + (P^T P - I)
-            # at every size, so the dense product is never formed
-            d_p = _spectral_defect(self.prep)
-            d_s = max(_spectral_defect(blk) for blk in self.blocks)
-            return d_p + (1.0 + d_p) * d_s + (1.0 + d_p) * (1.0 + d_s) * d_p
+            # U^dag U - I = P^T S^dag (P P^T - I) S P + P^T (S^dag S - I) P + (P^T P - I),
+            # bounded from the prepare's and the leaves' spectral defects, so the
+            # dense product is never formed
+            d_p = _dense_defect(self.prep)
+            d_s = max(_leaf_defect(c, s) for c, s in zip(self.cos, self.sin))
+            return (d_p + (1.0 + d_p) * d_s + (1.0 + d_p) * (1.0 + d_s) * d_p
+                    + math.sqrt(self.dim) * _EPS_MACH)
 
         return _memoized_defect(self, compute)
 
@@ -327,11 +336,8 @@ def block_encode_dense(a_matrix, alpha: float) -> BlockEncoding:
     padded = np.zeros((dim, dim), dtype=a.dtype)
     padded[:orig, :orig] = a
     contraction = padded / alpha
-    u = _cs_dilation(contraction.astype(complex))
-    if not np.iscomplexobj(a):
-        u = u.real
     be = BlockEncoding(
-        unitary=DenseUnitary(u),
+        unitary=DenseUnitary(_cs_dilation(contraction)),
         alpha=float(alpha),
         ancillas=1,
         system_qubits=int(math.log2(dim)),
@@ -451,8 +457,11 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
     power (with the coefficient's sign folded in), and a dump slot absorbs
     the truncation mass so the subnormalization is exactly e^2. The result
     is an (e^2, index+1 ancillas, e^2*eps)-encoding whose unitary stays in
-    factored form (an ``LcuUnitary``): the prepare and the select blocks are
-    kept, never their product.
+    factored form (an ``LcuUnitary``): the prepare and the (cos, sin) leaves
+    are kept, never their product. The cosine of leaf l is (H - I)^l, formed
+    by repeated products; its sine V.diag(sqrt(1 - (lam - 1)^(2l))).V^dag
+    comes from H's eigendecomposition, which also checks the spectral window.
+    The flip slot is (0, I) and each padding slot (I, 0).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -485,19 +494,19 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
     prep = _householder_prep(np.sqrt(probs))
 
     dim = be.system_dim
-    dtype = h_enc.dtype
-    blocks = []
-    power = np.eye(dim, dtype=dtype)
-    shift = h_enc - np.eye(dim, dtype=dtype)
+    eye = np.eye(dim, dtype=h_enc.dtype)
+    zero = np.zeros_like(eye)
+    v, shifted = spec.eigenvectors, spec.eigenvalues - 1.0
+    cos, sin = [], []
+    power, shift = eye, h_enc - eye
     for l in range(order + 1):
-        blk = math.copysign(1.0, coeffs[l]) * _cs_dilation(power.astype(complex))
-        blocks.append(blk if np.iscomplexobj(h_enc) else blk.real)
+        sign_l = math.copysign(1.0, coeffs[l])
+        cos.append(sign_l * power)
+        sin.append(sign_l * ((v * np.sqrt(1.0 - shifted ** (2 * l))) @ v.conj().T))
         power = power @ shift
-    flip = np.zeros((2 * dim, 2 * dim), dtype=dtype)
-    flip[:dim, dim:] = np.eye(dim)
-    flip[dim:, :dim] = np.eye(dim)
-    blocks.append(flip)
-    blocks.extend([np.eye(2 * dim, dtype=dtype)] * (idx_dim - order - 2))
+    padding = idx_dim - order - 2
+    cos += [zero] + [eye] * padding
+    sin += [eye] + [zero] * padding
 
     target = expm(sign * hermitize(be.target))
     cost = resources.CostLog(be.cost).merged(
@@ -509,7 +518,7 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
         }
     )
     out = BlockEncoding(
-        unitary=LcuUnitary(prep=prep, blocks=tuple(blocks)),
+        unitary=LcuUnitary(prep=prep, cos=tuple(cos), sin=tuple(sin)),
         alpha=b_norm,
         ancillas=n_idx + 1,
         system_qubits=be.system_qubits,
@@ -519,70 +528,4 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
         original_dim=be.original_dim,
     )
     _verify_encoding(out)
-    return out
-
-
-@dataclass(frozen=True)
-class ControlledSimUnitary:
-    """Indexed evolution: sum_m |m><m| (x) exp(i*m*gamma*H) over signed m.
-
-    The index register holds ``j_bits + 1`` qubits in two's complement;
-    register value r maps to m = r for r < big_m and m = r - 2*big_m
-    otherwise. The unitary is block diagonal, so it is kept as the
-    eigendecomposition ``(w, v)`` of H and each block is formed on demand.
-    """
-
-    w: np.ndarray
-    v: np.ndarray
-    gamma: float
-    big_m: int
-    epsilon: float
-    j_bits: int
-    block_dim: int
-    cost: dict = field(default_factory=dict)
-
-    def block(self, m: int) -> np.ndarray:
-        if not (-self.big_m <= m <= self.big_m - 1):
-            raise ValueError(f"index {m} outside [-{self.big_m}, {self.big_m - 1}]")
-        return (self.v * np.exp(1j * m * self.gamma * self.w)) @ self.v.conj().T
-
-
-def be_controlled_sim(
-    be: BlockEncoding, big_m: int, gamma: float, eps: float
-) -> ControlledSimUnitary:
-    """Assemble the controlled evolution of an encoded Hermitian operator.
-
-    Non-Hermitian encodings are routed through the Hermitian dilation first.
-    The certified error is the encoded-block deviation amplified by the
-    largest evolution time, plus numerical residual.
-    """
-    if not _is_power_of_two(big_m):
-        raise ValueError("big_m must be a power of two")
-    if hermiticity_defect(be.target) > 1e-8:
-        be = be_hermitian_dilation(be)
-    h_enc = hermitize(be_extract(be))
-    h_claim = hermitize(be.target)
-    delta = spectral_norm(h_enc - h_claim)
-
-    w, v = np.linalg.eigh(h_enc)
-    epsilon = delta * big_m * abs(gamma) + 1e-12
-    cost = resources.CostLog(be.cost).merged(
-        {"controlled_sim_queries": resources.controlled_sim_cost(be.alpha, big_m, gamma, max(eps, 1e-12))}
-    )
-    out = ControlledSimUnitary(
-        w=w,
-        v=v,
-        gamma=float(gamma),
-        big_m=int(big_m),
-        epsilon=float(epsilon),
-        j_bits=int(math.log2(big_m)),
-        block_dim=h_enc.shape[0],
-        cost=cost,
-    )
-    for m in (-big_m, 0, 1, big_m - 1):
-        measured = spectral_norm(out.block(m) - expm(1j * m * gamma * h_claim))
-        if measured > epsilon + 1e-9:
-            raise BlockEncodingError(
-                f"controlled block at index {m} deviates by {measured:.3e} > {epsilon:.3e}"
-            )
     return out

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 HERMITICITY_TOL = 1e-9
 
@@ -103,6 +102,8 @@ def expm(m) -> np.ndarray:
         if not np.iscomplexobj(a):
             out = out.real
         return out
+    import scipy.linalg  # only this fallback needs scipy, so importing qmedr never loads it
+
     return scipy.linalg.expm(a)
 
 
@@ -119,14 +120,14 @@ def frobenius_norm(m) -> float:
 
 
 def unitarity_defect(u) -> float:
-    """max |U†U - I|; accepts a dense array or any object exposing the same."""
+    """Spectral norm of U†U - I; an object exposing ``unitarity_defect`` gives its own bound."""
     if hasattr(u, "unitarity_defect"):
         return float(u.unitarity_defect())
     a = as_square(u)
-    eye = np.eye(a.shape[0])
-    return float(np.max(np.abs(a.conj().T @ a - eye)))
+    # U†U - I is Hermitian, so its spectral norm is its largest |eigenvalue|
+    return float(np.max(np.abs(np.linalg.eigvalsh(a.conj().T @ a - np.eye(a.shape[0])))))
 
 
 def unitarity_check(u, tol: float) -> bool:
-    """True iff ``max |U†U - I| <= tol``."""
+    """True iff the spectral norm of ``U†U - I`` is at most ``tol``."""
     return unitarity_defect(u) <= tol

@@ -71,13 +71,6 @@ def exp_encoding_cost(alpha: float, kappa: float, eps: float, a: int, t_u: float
     return alpha * kappa * _log2(1.0 / eps) * (a + t_u) + kappa * _log2(kappa / eps) * _log2(1.0 / eps)
 
 
-def controlled_sim_cost(alpha: float, big_m: int, gamma: float, eps: float) -> float:
-    """Controlled-evolution cost: |alpha*M*gamma| plus the phase-kickback tail."""
-    j = max(int(math.log2(big_m)), 1)
-    tail = j * _log2(j / eps) / max(_log2(_log2(j / eps)), 1.0)
-    return abs(alpha * big_m * gamma) + tail
-
-
 def grover_iterations(success_probability: float) -> int:
     """Expected-value amplitude-amplification iteration charge."""
     if success_probability <= 0.0:

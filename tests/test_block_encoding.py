@@ -11,7 +11,6 @@ from qmedr.block_encoding import (
     BlockEncodingError,
     DenseUnitary,
     LcuUnitary,
-    be_controlled_sim,
     be_exp,
     be_extract,
     be_hermitian_dilation,
@@ -63,6 +62,7 @@ class TestBlockEncodeDense:
             alpha = spectral_norm(a) * float(rng.uniform(1.0, 3.0))
             be = block_encode_dense(a, alpha=alpha)
             assert spectral_norm(be.target - be_extract(be)) <= 1e-9
+            assert be.unitary.matrix.dtype == np.float64
 
     def test_unitarity_property(self, rng):
         for _ in range(20):
@@ -319,17 +319,53 @@ class TestLcuUnitary:
                 dense = DenseUnitary(enc.unitary.to_dense()).unitarity_defect()
                 assert dense <= leaf <= 1e-9
 
+    def test_composite_bounds_dominate_dense_defect(self, rng):
+        # product and dilation bounds are built from their factors' defects;
+        # each must still dominate the defect of its dense matrix
+        for make in (random_hermitian_in_window, _complex_hermitian_in_window):
+            for dim in (2, 4):
+                u1 = block_encode_dense(make(rng, dim, 2.0), alpha=1.0)
+                u2 = block_encode_dense(make(rng, dim, 2.0), alpha=1.0)
+                exp_pair = be_product(be_exp(u2, -1, 1e-2, 2.0), be_exp(u1, +1, 1e-2, 2.0))
+                composites = [be_product(u1, u2), be_hermitian_dilation(u1), exp_pair]
+                if dim == 2:
+                    composites.append(be_hermitian_dilation(exp_pair))
+                for be in composites:
+                    bound = be.unitary.unitarity_defect()
+                    dense = DenseUnitary(be.unitary.to_dense()).unitarity_defect()
+                    assert dense <= bound <= 1e-9
+
+    @staticmethod
+    def _with_scaled_leaf(enc, index, scale_cos, scale_sin):
+        lcu = enc.unitary
+        cos, sin = list(lcu.cos), list(lcu.sin)
+        cos[index] = scale_cos * cos[index]
+        sin[index] = scale_sin * sin[index]
+        faulty = dataclasses.replace(lcu, cos=tuple(cos), sin=tuple(sin))
+        return dataclasses.replace(enc, unitary=faulty)
+
     def test_leaf_bound_rejects_scaled_block(self, rng):
         enc = be_exp(block_encode_dense(random_hermitian_in_window(rng, 4, 2.0), alpha=1.0),
                      +1, 1e-8, kappa=2.0)
-        lcu = enc.unitary
-        # the last block (flip or identity) never reaches the top-left block,
-        # so only the unitarity defect can expose the fault
-        blocks = lcu.blocks[:-1] + ((1.0 + 1e-6) * lcu.blocks[-1],)
-        faulty = dataclasses.replace(enc, unitary=LcuUnitary(prep=lcu.prep, blocks=blocks))
-        assert np.array_equal(faulty.extracted(), enc.extracted())
-        with pytest.raises(BlockEncodingError, match="unitarity"):
-            bk._verify_encoding(faulty)
+        # the flip leaf (0, I) and the last padding leaf (I, 0) never reach the
+        # top-left block, so only the unitarity defect can expose the fault
+        flip = next(l for l, c in enumerate(enc.unitary.cos) if not c.any())
+        assert flip < len(enc.unitary.cos) - 1
+        for index in (flip, -1):
+            faulty = self._with_scaled_leaf(enc, index, 1.0 + 1e-6, 1.0 + 1e-6)
+            assert np.array_equal(faulty.extracted(), enc.extracted())
+            with pytest.raises(BlockEncodingError, match="unitarity"):
+                bk._verify_encoding(faulty)
+
+    def test_leaf_bound_rejects_scaled_sine(self, rng):
+        for make in (random_hermitian_in_window, _complex_hermitian_in_window):
+            enc = be_exp(block_encode_dense(make(rng, 4, 2.0), alpha=1.0), -1, 1e-8, kappa=2.0)
+            bk._verify_encoding(enc)
+            # a power leaf's sine feeds only the unitarity defect
+            faulty = self._with_scaled_leaf(enc, 1, 1.0, 1.0 + 1e-6)
+            assert np.array_equal(faulty.extracted(), enc.extracted())
+            with pytest.raises(BlockEncodingError, match="unitarity"):
+                bk._verify_encoding(faulty)
 
     def test_memory_stays_factored_at_dim_256(self, rng):
         be = block_encode_dense(random_hermitian_in_window(rng, 256, 2.0), alpha=1.0)
@@ -343,54 +379,3 @@ class TestLcuUnitary:
         assert peak < 128 * 2**20
         with pytest.raises(MemoryError):
             enc.unitary.to_dense()
-
-
-class TestControlledSim:
-    def test_zero_index_is_identity(self, rng):
-        be = block_encode_dense(random_hermitian_in_window(rng, 2, 2.0), alpha=1.0)
-        cs = be_controlled_sim(be, big_m=2, gamma=0.7, eps=1e-8)
-        assert np.allclose(cs.block(0), np.eye(2), atol=1e-12)
-
-    def test_diagonal_phases(self):
-        theta = np.array([0.3, 1.1])
-        be = block_encode_dense(np.diag(theta), alpha=1.2)
-        cs = be_controlled_sim(be, big_m=2, gamma=1.0, eps=1e-8)
-        for m in range(-2, 2):
-            assert np.allclose(cs.block(m), np.diag(np.exp(1j * m * theta)), atol=1e-10)
-
-    def test_random_block_against_exponential(self):
-        rng = np.random.default_rng(11)
-        h = random_hermitian_in_window(rng, 4, 2.0)
-        be = block_encode_dense(h, alpha=1.0)
-        cs = be_controlled_sim(be, big_m=4, gamma=0.5, eps=1e-8)
-        assert spectral_norm(cs.block(1) - expm(0.5j * h)) <= max(cs.epsilon, 1e-10)
-
-    def test_non_hermitian_routed_through_dilation(self, rng):
-        h = random_contraction(rng, 2)
-        be = block_encode_dense(h, alpha=1.0)
-        cs = be_controlled_sim(be, big_m=2, gamma=0.3, eps=1e-8)
-        assert cs.block_dim == 4  # dilation doubles the system register
-        assert max(DenseUnitary(cs.block(m)).unitarity_defect() for m in range(-2, 2)) <= 1e-9
-        # dilated generator has the +/- singular structure of h
-        hbar = np.zeros((4, 4))
-        hbar[:2, 2:] = h
-        hbar[2:, :2] = h.T
-        assert spectral_norm(cs.block(1) - expm(0.3j * hbar)) <= max(cs.epsilon, 1e-9)
-
-    def test_index_bounds(self, rng):
-        be = block_encode_dense(random_hermitian_in_window(rng, 2, 2.0), alpha=1.0)
-        cs = be_controlled_sim(be, big_m=2, gamma=1.0, eps=1e-8)
-        with pytest.raises(ValueError):
-            cs.block(2)
-        with pytest.raises(ValueError):
-            cs.block(-3)
-
-    def test_rejects_non_power_of_two(self, rng):
-        be = block_encode_dense(np.eye(2), alpha=1.0)
-        with pytest.raises(ValueError):
-            be_controlled_sim(be, big_m=3, gamma=1.0, eps=1e-8)
-
-    def test_cost_charged(self, rng):
-        be = block_encode_dense(random_hermitian_in_window(rng, 2, 2.0), alpha=1.0)
-        cs = be_controlled_sim(be, big_m=4, gamma=0.5, eps=1e-6)
-        assert cs.cost["controlled_sim_queries"] > 0

@@ -253,6 +253,23 @@ class TestCliCommands:
         assert report["config"]["accuracy_bits"] == 20
         assert maxrss_kib < 300 * 1024
 
+    def test_compare_never_loads_scipy(self, tmp_path):
+        # scipy serves only expm's non-Hermitian fallback, which no report reaches,
+        # so a fresh interpreter running one compare must never import it
+        path = self.synth(tmp_path)
+        script = textwrap.dedent(f"""
+            import sys
+            from qmedr.cli import main
+
+            code = main(["compare", {path!r}, "--analog", "--out-dir", {str(tmp_path)!r}])
+            print(code, any(name.split(".")[0] == "scipy" for name in sys.modules))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(qmedr.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-2:] == ["0", "False"]
+
     def test_resources_command(self, tmp_path):
         params_file = tmp_path / "params.json"
         params_file.write_text(json.dumps({

@@ -8,7 +8,6 @@ from qmedr.resources import (
     CostLog,
     ResourceParams,
     classical_cost,
-    controlled_sim_cost,
     dense_encode_cost,
     eval_step_costs,
     exp_encoding_cost,
@@ -156,7 +155,6 @@ class TestCharges:
     def test_charge_functions_positive(self):
         assert dense_encode_cost(16) > 0
         assert exp_encoding_cost(1.0, 10.0, 1e-3, 1, 5.0) > 0
-        assert controlled_sim_cost(1.0, 8, 0.5, 1e-6) > 0
 
     def test_charges_deterministic(self):
         assert exp_encoding_cost(1.0, 10.0, 1e-3, 1, 5.0) == exp_encoding_cost(1.0, 10.0, 1e-3, 1, 5.0)
