@@ -208,7 +208,7 @@ class DilationUnitary:
         if d != 2 * self.system_dim:
             raise ValueError("dilation extraction is defined on the doubled system block")
         b = self.inner.top_left(self.system_dim)
-        out = np.zeros((d, d), dtype=complex)
+        out = np.zeros((d, d), dtype=b.dtype)
         out[: self.system_dim, self.system_dim :] = b
         out[self.system_dim :, : self.system_dim] = b.conj().T
         return out

@@ -117,7 +117,7 @@ class MedrProblem:
         return self.s1.shape[0]
 
 
-_DIFF_BLOCK_BYTES = 16 * 2**20
+_DIFF_BLOCK_BYTES = 2**20
 
 
 def pairwise_sq_distances(x: np.ndarray) -> np.ndarray:

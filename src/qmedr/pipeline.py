@@ -379,7 +379,8 @@ def json_clean(obj):
     if isinstance(obj, (list, tuple)):
         return [json_clean(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return json_clean(obj.tolist())
+        # tolist() already yields plain bool, int and float for these kinds
+        return obj.tolist() if obj.dtype.kind in "biuf" else json_clean(obj.tolist())
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):

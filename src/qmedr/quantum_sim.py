@@ -291,22 +291,53 @@ def recommended_eps2(ds: Dataset, m: int, eps_target: float) -> float:
     return eps_target**2 / (math.sqrt(m) * max(max_norm2, 1e-300))
 
 
-def _amplitude_estimation_draw(value: float, eps2: float, rng: np.random.Generator) -> float:
-    """Seeded draw from an amplitude estimator's register law.
+# register offsets around round(k * theta) that an amplitude estimate is
+# drawn from, the draws whose median is one estimate, and the bytes of one
+# window-wide float array per row block of the batched draw
+_AE_WINDOW = np.arange(-64, 65)
+_AE_DRAWS = 9
+_AE_BLOCK_BYTES = 2**17
 
-    The raw register distribution has heavy tails, so the estimate is the
+
+def _amplitude_estimation_draws(
+    values: np.ndarray, eps2: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Seeded draws from an amplitude estimator's register law, one per value (1-D).
+
+    The raw register distribution has heavy tails, so each estimate is the
     median of nine independent draws (the usual confidence amplification).
+    Rows are evaluated in blocks of at most _AE_BLOCK_BYTES per window-wide
+    array. Each draw is the inverse-CDF lookup ``rng.choice(window, 9, p=probs)``
+    makes (normalised cumsum, ``searchsorted(side="right")`` of ``rng.random``),
+    with uniforms taken in row order, so the values and the generator's state
+    equal those of one ``choice`` call per value.
     """
+    if np.isnan(values).any():
+        raise ValueError("cannot estimate a NaN amplitude")
     bits = min(max(int(math.ceil(math.log2(1.0 / eps2))) + 4, 4), 26)
     k = 1 << bits
-    theta = math.asin(math.sqrt(min(max(value, 0.0), 1.0))) / math.pi
-    center = int(round(theta * k))
-    window = np.arange(center - 64, center + 65)
-    probs = _fejer_kernel(k * theta - window, k)
-    probs /= probs.sum()
-    drawn = rng.choice(window, size=9, p=probs)
-    est = np.sin(np.pi * (drawn % k) / k) ** 2
-    return float(np.median(est))
+    roots = np.sqrt(np.clip(values, 0.0, 1.0))
+    out = np.empty(values.size)
+    rows = max(1, _AE_BLOCK_BYTES // (8 * _AE_WINDOW.size))
+    for s0 in range(0, values.size, rows):
+        # libm's asin: numpy's SIMD arcsin differs from it in the last bit on some inputs
+        block = roots[s0 : s0 + rows].tolist()
+        th = np.fromiter(map(math.asin, block), float, count=len(block))[:, None] / math.pi
+        window = np.rint(th * k).astype(np.int64) + _AE_WINDOW
+        probs = _fejer_kernel(k * th - window, k)
+        probs /= probs.sum(axis=1, keepdims=True)
+        # the checks Generator.choice makes on each p
+        off_one = np.abs(probs.sum(axis=1) - 1.0) > np.sqrt(np.finfo(float).eps)
+        if not np.isfinite(probs).all() or (probs < 0).any() or off_one.any():
+            raise ValueError("register probabilities are not a distribution")
+        cdf = probs.cumsum(axis=1)
+        cdf = cdf / cdf[:, -1:]
+        u = rng.random((th.shape[0], _AE_DRAWS))
+        idx = (cdf[:, None, :] <= u[:, :, None]).sum(axis=2)
+        drawn = np.take_along_axis(window, idx, axis=1)
+        est = np.sin(np.pi * (drawn % k) / k) ** 2
+        out[s0 : s0 + rows] = np.median(est, axis=1)
+    return out
 
 
 def estimate_inner_products(
@@ -321,7 +352,8 @@ def estimate_inner_products(
 
     Deterministic mode perturbs every exact value by the worst-case signed
     bound eps2/2 (positive, so squared readouts stay valid); sampled mode
-    draws each estimate from a seeded amplitude-estimation register law.
+    draws each estimate from a seeded amplitude-estimation register law, all
+    N*m entries in one batched draw (``_amplitude_estimation_draws``).
     """
     if eps2 <= 0:
         raise ValueError("eps2 must be positive")
@@ -344,11 +376,7 @@ def estimate_inner_products(
         noisy = exact + eps2 / 2.0
     else:
         gen = rng if rng is not None else np.random.default_rng(0)
-        noisy = np.empty_like(exact)
-        flat_in = exact.ravel()
-        flat_out = noisy.ravel()
-        for pos, val in enumerate(flat_in):
-            flat_out[pos] = _amplitude_estimation_draw(float(val), eps2, gen)
+        noisy = _amplitude_estimation_draws(exact.ravel(), eps2, gen).reshape(exact.shape)
     return InnerProductTable(values=noisy, eps2=eps2, mode=mode)
 
 

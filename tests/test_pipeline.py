@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -101,3 +102,21 @@ class TestDegenerateCutEntries:
         entries = run.digital.entries.copy()
         entries[:, 3] = -entries[:, 3]
         assert compare_outputs(classical_out, self.with_entries(run, entries)).passed
+
+
+class TestJsonClean:
+    @pytest.mark.parametrize("arr", [
+        np.array([0.1, -2.5e-300, np.nan, np.inf, 3.0]),
+        np.array([1.5, 2.25], dtype=np.float32),
+        np.array([-3, 0, 2**40]),
+        np.array([7, 1], dtype=np.uint8),
+        np.array([True, False]),
+        np.arange(6.0).reshape(2, 3) / 7.0,
+        np.array([1 + 2j, -0.5j]),
+        np.array(2.5),
+    ])
+    def test_array_fast_path_matches_recursive_path(self, arr):
+        fast = pipeline.json_clean({"a": arr, "nested": [arr, (arr,)]})
+        slow = pipeline.json_clean({"a": arr.tolist(), "nested": [arr.tolist(), (arr.tolist(),)]})
+        # dumps tells bool from int and int from float, and prints nan equal to itself
+        assert json.dumps(fast) == json.dumps(slow)

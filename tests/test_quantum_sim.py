@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -330,6 +333,73 @@ class TestInnerProducts:
         estimate_inner_products(ds, sol, eps2=1e-4, cost_log=log)
         assert log["step3_amplification_iterations"] == resources.grover_iterations(0.5)
         assert log["step3_ae_repetitions"] == 1e4
+
+
+def _per_entry_draws(values, eps2, rng):
+    """One ``rng.choice`` register draw per value, as sampled mode once made them."""
+    out = []
+    for value in values:
+        bits = min(max(int(math.ceil(math.log2(1.0 / eps2))) + 4, 4), 26)
+        k = 1 << bits
+        theta = math.asin(math.sqrt(min(max(float(value), 0.0), 1.0))) / math.pi
+        center = int(round(theta * k))
+        window = np.arange(center - 64, center + 65)
+        probs = quantum_sim._fejer_kernel(k * theta - window, k)
+        probs /= probs.sum()
+        drawn = rng.choice(window, size=9, p=probs)
+        out.append(float(np.median(np.sin(np.pi * (drawn % k) / k) ** 2)))
+    return np.array(out)
+
+
+class TestBatchedAmplitudeDraws:
+    EDGES = [0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5, 1e-12, 2.0, -1e-3]
+
+    @staticmethod
+    def assert_same_draws(values, eps2, seed):
+        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _per_entry_draws(values, eps2, old)
+        got = quantum_sim._amplitude_estimation_draws(np.asarray(values), eps2, new)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert new.random() == old.random()
+
+    @pytest.mark.parametrize("eps2", [1e-9, 1e-4, 1e-1])
+    def test_edge_values_match_per_entry_draws(self, eps2):
+        self.assert_same_draws(self.EDGES, eps2, seed=3)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_short_inputs_match_per_entry_draws(self, n):
+        self.assert_same_draws(np.random.default_rng(n).random(n), 1e-5, seed=n)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_block_boundaries_match_per_entry_draws(self, monkeypatch, rows):
+        monkeypatch.setattr(quantum_sim, "_AE_BLOCK_BYTES", rows * 8 * quantum_sim._AE_WINDOW.size)
+        # 23 values: the 7-row blocks end in a partial block of 2
+        values = np.random.default_rng(5).random(23) ** 4
+        values[:4] = self.EDGES[:4]
+        self.assert_same_draws(values, 3e-7, seed=11)
+
+    def test_random_values_match_per_entry_draws(self):
+        rows = quantum_sim._AE_BLOCK_BYTES // (8 * quantum_sim._AE_WINDOW.size)
+        values = np.random.default_rng(6).random(2 * rows + 3) ** 6
+        self.assert_same_draws(values, 2e-6, seed=12)
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError):
+            quantum_sim._amplitude_estimation_draws(
+                np.array([0.2, np.nan]), 1e-4, np.random.default_rng(0)
+            )
+
+    def test_peak_memory_is_blocked(self):
+        # evaluated in one piece, the window arrays take about 10 KB per entry
+        # (over 600 MiB here)
+        values = np.random.default_rng(0).random(65536)
+        tracemalloc.start()
+        try:
+            quantum_sim._amplitude_estimation_draws(values, 1e-4, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestDigitalAssembly:
