@@ -3,8 +3,8 @@
 A block-encoding is a unitary whose top-left block equals ``A / alpha`` up to
 a certified error ``epsilon``, with the ancilla register occupying the most
 significant qubits. Constructions here build the unitaries explicitly so
-every claimed bound can be measured directly; oracle query costs are charged
-to an abstract tally instead of being executed.
+every claimed bound can be measured directly. Encodings carry no query
+costs: the pipeline charges those to the run's cost log.
 
 Composite unitaries (products, Hermitian dilations and the
 prepare-select-unprepare combination behind exponential encodings) keep an
@@ -18,12 +18,11 @@ the factors' defects for a composite, never from its dense form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
-from . import resources
 from .linalg import (
     as_square,
     expm,
@@ -284,8 +283,6 @@ class BlockEncoding:
     system_qubits: int
     epsilon: float
     target: np.ndarray
-    cost: dict = field(default_factory=dict)
-    original_dim: int | None = None
 
     @property
     def system_dim(self) -> int:
@@ -319,11 +316,26 @@ def be_extract(be: BlockEncoding) -> np.ndarray:
     return be.extracted()
 
 
+def _hermitian_block(be: BlockEncoding) -> np.ndarray:
+    """The encoded operator, hermitized, and real when the target is real.
+
+    Rejects a Hermiticity defect above 1e-8: a non-Hermitian operator must go
+    through ``be_hermitian_dilation`` first.
+    """
+    h = be_extract(be)
+    if hermiticity_defect(h) > 1e-8:
+        raise BlockEncodingError("encoded operator is not Hermitian; dilate it first")
+    h = hermitize(h)
+    if not np.iscomplexobj(be.target):
+        h = h.real
+    return h
+
+
 def block_encode_dense(a_matrix, alpha: float) -> BlockEncoding:
     """Exact one-ancilla dilation of a dense matrix scaled by ``alpha``.
 
-    The input is zero-padded to the next power-of-two dimension (recorded in
-    ``original_dim``); ``alpha`` must dominate the spectral norm.
+    The input is zero-padded to the next power-of-two dimension; ``alpha``
+    must dominate the spectral norm.
     """
     a = as_square(np.asarray(a_matrix, dtype=float if not np.iscomplexobj(a_matrix) else complex))
     norm = spectral_norm(a)
@@ -343,8 +355,6 @@ def block_encode_dense(a_matrix, alpha: float) -> BlockEncoding:
         system_qubits=int(math.log2(dim)),
         epsilon=1e-12,
         target=padded,
-        cost={"time": resources.dense_encode_cost(dim), "dense_encodings": 1.0},
-        original_dim=orig,
     )
     _verify_encoding(be)
     return be
@@ -372,8 +382,6 @@ def be_product(ua: BlockEncoding, ub: BlockEncoding) -> BlockEncoding:
         system_qubits=ua.system_qubits,
         epsilon=ua.alpha * ub.epsilon + ub.alpha * ua.epsilon,
         target=ua.target @ ub.target,
-        cost=resources.CostLog(ua.cost).merged(ub.cost),
-        original_dim=ua.original_dim,
     )
     _verify_encoding(be)
     return be
@@ -403,8 +411,6 @@ def be_hermitian_dilation(be: BlockEncoding) -> BlockEncoding:
         system_qubits=be.system_qubits + 1,
         epsilon=2.0 * be.epsilon,
         target=doubled,
-        cost=resources.CostLog(be.cost).merged({"dilations": 1.0}),
-        original_dim=None,
     )
     _verify_encoding(out)
     return out
@@ -469,12 +475,7 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
         raise ValueError("eps must lie in (0, 1/2]")
     if kappa < 2.0:
         raise ValueError("kappa must be at least 2")
-    h_enc = be_extract(be)
-    if hermiticity_defect(h_enc) > 1e-8:
-        raise BlockEncodingError("encoded operator must be Hermitian")
-    h_enc = hermitize(h_enc)
-    if not np.iscomplexobj(be.target):
-        h_enc = h_enc.real
+    h_enc = _hermitian_block(be)
     spec = hermitian_eig(h_enc)
     lo, hi = spec.eigenvalues[0], spec.eigenvalues[-1]
     if lo < 1.0 / kappa - 1e-9 or hi > 1.0 + 1e-9:
@@ -509,14 +510,6 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
     sin += [eye] + [zero] * padding
 
     target = expm(sign * hermitize(be.target))
-    cost = resources.CostLog(be.cost).merged(
-        {
-            "time": resources.exp_encoding_cost(
-                be.alpha, kappa, eps, be.ancillas, be.cost.get("time", 1.0)
-            ),
-            "exp_encodings": 1.0,
-        }
-    )
     out = BlockEncoding(
         unitary=LcuUnitary(prep=prep, cos=tuple(cos), sin=tuple(sin)),
         alpha=b_norm,
@@ -524,8 +517,6 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
         system_qubits=be.system_qubits,
         epsilon=b_norm * eps,
         target=target,
-        cost=cost,
-        original_dim=be.original_dim,
     )
     _verify_encoding(out)
     return out

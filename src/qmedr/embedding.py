@@ -291,23 +291,23 @@ def npe_weights(ds: Dataset, k: int) -> np.ndarray:
 
     Each row solves the constrained least-squares reconstruction of a sample
     from its k nearest neighbors through the Tikhonov-regularized local Gram
-    matrix; weights sum to one and vanish outside the neighborhood.
+    matrix; weights sum to one and vanish outside the neighborhood. All N
+    k x k systems go through one batched solve.
     """
     n = ds.n_samples
     _, neighbors = _nearest_neighbors(ds.X, k)
+    diffs = ds.X[:, None, :] - ds.X[neighbors]
+    gram = diffs @ diffs.transpose(0, 2, 1)
+    gram = gram + (1e-8 * np.trace(gram, axis1=1, axis2=2))[:, None, None] * np.eye(k)
+    try:
+        sol = np.linalg.solve(gram, np.ones((n, k, 1)))[:, :, 0]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by regularization
+        raise AssertionError("singular local Gram matrix") from exc
+    total = sol.sum(axis=1)
+    bad = ~(np.isfinite(total) & (np.abs(total) > 0))
+    assert not bad.any(), f"degenerate reconstruction at sample {int(np.argmax(bad))}"
     w = np.zeros((n, n))
-    ones = np.ones(k)
-    for i, nbrs in enumerate(neighbors):
-        diffs = ds.X[i] - ds.X[nbrs]
-        gram = diffs @ diffs.T
-        gram = gram + 1e-8 * np.trace(gram) * np.eye(k)
-        try:
-            sol = np.linalg.solve(gram, ones)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by regularization
-            raise AssertionError(f"singular local Gram matrix at sample {i}") from exc
-        total = sol.sum()
-        assert np.isfinite(total) and abs(total) > 0, f"degenerate reconstruction at sample {i}"
-        w[i, nbrs] = sol / total
+    w[np.arange(n)[:, None], neighbors] = sol / total[:, None]
     return w
 
 
@@ -350,12 +350,6 @@ def build_eda(ds: Dataset, kappa_target: float = DEFAULT_KAPPA,
     if spectral_norm(s_b) <= 1e-12 and spectral_norm(s_w) <= 1e-12:
         flags.append("degenerate_identical_samples")
     return _assemble("EDA", s_b, s_w, kappa_target, flags, pad_to)
-
-
-def make_problem(s1_raw: np.ndarray, s2_raw: np.ndarray, kappa_target: float = DEFAULT_KAPPA,
-                 variant: str = "custom") -> MedrProblem:
-    """Generic constructor for matrix pairs outside the four named variants."""
-    return _assemble(variant, np.asarray(s1_raw, dtype=float), np.asarray(s2_raw, dtype=float), kappa_target)
 
 
 def build_problem(ds: Dataset, variant: str, k: int, sigma: float | None = None,

@@ -120,9 +120,7 @@ def frobenius_norm(m) -> float:
 
 
 def unitarity_defect(u) -> float:
-    """Spectral norm of U†U - I; an object exposing ``unitarity_defect`` gives its own bound."""
-    if hasattr(u, "unitarity_defect"):
-        return float(u.unitarity_defect())
+    """Spectral norm of U†U - I."""
     a = as_square(u)
     # U†U - I is Hermitian, so its spectral norm is its largest |eigenvalue|
     return float(np.max(np.abs(np.linalg.eigvalsh(a.conj().T @ a - np.eye(a.shape[0])))))

@@ -201,9 +201,10 @@ def quantum_stage(problem: MedrProblem, padded: Dataset, cfg: RunConfig,
     enc1 = bk.be_exp(u1, +1, cfg.eps_be, problem.kappa1)
     enc2 = bk.be_exp(u2, -1, cfg.eps_be, problem.kappa2)
     product = bk.be_product(enc2, enc1)
+    t_encode = resources.dense_encode_cost(problem.dim)
     step1_logged = max(
-        u1.alpha * problem.kappa1 * (u1.ancillas + u1.cost["time"]),
-        u2.alpha * problem.kappa2 * (u2.ancillas + u2.cost["time"]),
+        u1.alpha * problem.kappa1 * (u1.ancillas + t_encode),
+        u2.alpha * problem.kappa2 * (u2.ancillas + t_encode),
     )
     log.charge("step1_time_units", step1_logged)
 
@@ -217,10 +218,7 @@ def quantum_stage(problem: MedrProblem, padded: Dataset, cfg: RunConfig,
         encoding_epsilon = product.epsilon
 
     t = math.pi / EVOLUTION_NORM_BOUND
-    per = qs.simulate_qpe(
-        qpe_input, cfg.q1, t, eta=cfg.eta, accuracy_bits=cfg.accuracy_bits,
-        dilated=dilated, cost_log=log,
-    )
+    per = qs.simulate_qpe(qpe_input, cfg.q1, t, dilated=dilated, cost_log=log)
     direction = cl.direction_for_variant(cfg.variant)
     sol = qs.find_extreme_eigenvalues(per, cfg.m, direction, cost_log=log)
 
@@ -246,7 +244,7 @@ def quantum_stage(problem: MedrProblem, padded: Dataset, cfg: RunConfig,
             reference = classical_stage(problem, padded, cfg)
         ref_signs = reference.Y
     digital = qs.assemble_digital_state(
-        padded, sol, table, q2=cfg.q2, int_bits=cfg.int_bits, eps_target=cfg.eps,
+        padded, sol, table, q2=cfg.q2, int_bits=cfg.int_bits,
         sign_source=cfg.sign_source, reference_signs=ref_signs, seed=cfg.seed,
         mode=cfg.mode, shots=cfg.shots, extra_error=extra_error, cost_log=log,
     )
@@ -256,7 +254,7 @@ def quantum_stage(problem: MedrProblem, padded: Dataset, cfg: RunConfig,
             padded, sol, seed=cfg.seed, mode=cfg.mode, shots=cfg.shots, cost_log=log,
         )
 
-    params = _resource_params(padded, cfg, problem, u1.cost["time"], eps2)
+    params = _resource_params(padded, cfg, problem, t_encode, eps2)
     t_units = resources.step1_time(params)
     prep_queries = float((1 << cfg.q1) - 1)
     step2_logged = (log.get("minfind_grover_iterations", 0.0) + 1.0) * prep_queries * (

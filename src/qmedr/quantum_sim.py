@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import resources
-from .block_encoding import BlockEncoding, _householder_prep, be_extract
+from .block_encoding import BlockEncoding, _hermitian_block, _householder_prep
 from .classical import EigenSolution, apply_dataset_signs, _first_component_signs
 from .embedding import Dataset
-from .linalg import hermiticity_defect, hermitize
 
 ANCHOR_OVERLAP_FLOOR = 1e-6
 
@@ -63,7 +62,7 @@ class PhaseEstimationResult:
 
     ``phases[j]`` is eigenpair j's eigenphase in [0, 1); its register law is
     the Fejer kernel around ``phases[j] * 2**q1``, evaluated only at the bins
-    a query reads. ``weights`` are the probe weights (uniform over pairs). For
+    a query reads. The probe weights every pair by 1/n_pairs. For
     dilated inputs the retained pairs are the positive branch after amplitude
     amplification on the flagged component.
     """
@@ -73,9 +72,6 @@ class PhaseEstimationResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     phases: np.ndarray
-    weights: np.ndarray
-    eta: float | None = None
-    accuracy_bits: int | None = None
     dilated: bool = False
     success_probability: float = 1.0
 
@@ -97,7 +93,7 @@ class PhaseEstimationResult:
         return np.stack([self.register_law(j) for j in range(self.n_pairs)])
 
     def total_mass(self) -> float:
-        return float(self.weights @ self.mass.sum(axis=1))
+        return float(self.mass.sum(axis=1).mean())
 
     def estimate_for_register(self, k) -> np.ndarray:
         return (np.asarray(k) / self.register_size) * (2.0 * np.pi / self.t)
@@ -113,8 +109,9 @@ class PhaseEstimationResult:
     def bins(self, threshold: float = 1e-12) -> list:
         """Pruned (register value, eigenvalue estimate, mass, pair index) tuples."""
         out = []
+        weight = 1.0 / self.n_pairs
         for j in range(self.n_pairs):
-            row = self.register_law(j) * self.weights[j]
+            row = self.register_law(j) * weight
             for k in np.nonzero(row > threshold)[0]:
                 out.append((int(k), float(self.estimate_for_register(k)), float(row[k]), int(j)))
         return out
@@ -136,8 +133,6 @@ def simulate_qpe(
     be: BlockEncoding,
     q1: int,
     t: float,
-    eta: float | None = None,
-    accuracy_bits: int | None = None,
     dilated: bool = False,
     cost_log: resources.CostLog | None = None,
 ) -> PhaseEstimationResult:
@@ -157,13 +152,7 @@ def simulate_qpe(
     """
     if q1 < 1:
         raise ValueError("q1 must be at least 1")
-    a_enc = be_extract(be)
-    if hermiticity_defect(a_enc) > 1e-8:
-        raise ValueError("encoded operator is not Hermitian; dilate it first")
-    a_enc = hermitize(a_enc)
-    if not np.iscomplexobj(be.target):
-        a_enc = a_enc.real
-    w, v = np.linalg.eigh(a_enc)
+    w, v = np.linalg.eigh(_hermitian_block(be))
     if np.max(np.abs(w)) * t >= 2.0 * np.pi:
         raise ValueError("phase wraparound: |eigenvalue| * t reaches 2*pi")
 
@@ -173,13 +162,9 @@ def simulate_qpe(
 
     phases_all = (w * t / (2.0 * np.pi)) % 1.0
     if not dilated:
-        dim = w.shape[0]
-        weights = np.full(dim, 1.0 / dim)
-        vectors = _first_component_signs(v)
         return PhaseEstimationResult(
-            q1=q1, t=t, eigenvalues=w, eigenvectors=vectors, phases=phases_all,
-            weights=weights, eta=eta, accuracy_bits=accuracy_bits,
-            dilated=False, success_probability=1.0,
+            q1=q1, t=t, eigenvalues=w, eigenvectors=_first_component_signs(v),
+            phases=phases_all,
         )
 
     two_m = w.shape[0]
@@ -200,11 +185,9 @@ def simulate_qpe(
     sub = v[half:, positive]
     norms = np.linalg.norm(sub, axis=0)
     vectors = _first_component_signs(sub / norms)
-    weights = np.full(half, 1.0 / half)
     return PhaseEstimationResult(
         q1=q1, t=t, eigenvalues=w[positive], eigenvectors=vectors,
-        phases=phases_all[positive], weights=weights, eta=eta,
-        accuracy_bits=accuracy_bits, dilated=True, success_probability=success,
+        phases=phases_all[positive], dilated=True, success_probability=success,
     )
 
 
@@ -415,6 +398,12 @@ class AnalogState:
     rotation_floor: float
 
 
+def _finite_shot_overlap(values, shots: int, gen: np.random.Generator):
+    """Seeded finite-shot estimate of overlaps from their test's P(1) = (1 - x)/2."""
+    p1 = np.clip((1.0 - values) / 2.0, 0.0, 1.0)
+    return 1.0 - 2.0 * gen.binomial(shots, p1) / shots
+
+
 def hadamard_test(
     prep_a: np.ndarray,
     prep_b: np.ndarray,
@@ -436,11 +425,9 @@ def hadamard_test(
         raise ValueError("preparations act on different dimensions")
     z = complex(np.vdot(psi, phi))
     re_zeta = z.real if mode == "real" else -z.imag
-    p1 = (1.0 - re_zeta) / 2.0
     if shots is not None:
         gen = rng if rng is not None else np.random.default_rng(0)
-        ones = gen.binomial(shots, min(max(p1, 0.0), 1.0))
-        re_zeta = 1.0 - 2.0 * ones / shots
+        re_zeta = float(_finite_shot_overlap(re_zeta, shots, gen))
     return re_zeta if mode == "real" else -re_zeta
 
 
@@ -462,7 +449,6 @@ def _anchor_signs(
     seed: int,
     mode: str,
     shots: int,
-    rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, int]:
     """Per-entry sign recovery through anchored overlap tests.
 
@@ -485,14 +471,9 @@ def _anchor_signs(
     reference_products = (g_hat @ vectors) * xi
     if mode == "sampled":
         # each product is the outcome of a finite-shot doubled-register test
-        gen = rng if rng is not None else np.random.default_rng(seed + 1)
-
-        def finite_shot(values):
-            p1 = np.clip((1.0 - values) / 2.0, 0.0, 1.0)
-            return 1.0 - 2.0 * gen.binomial(shots, p1) / shots
-
-        sample_products = finite_shot(sample_products)
-        reference_products = finite_shot(reference_products)
+        gen = np.random.default_rng(seed + 1)
+        sample_products = _finite_shot_overlap(sample_products, shots, gen)
+        reference_products = _finite_shot_overlap(reference_products, shots, gen)
     signs = np.sign(sample_products) * np.sign(reference_products)[None, :]
     signs[signs == 0] = 1.0
     return signs, anchor_idx
@@ -504,7 +485,6 @@ def assemble_digital_state(
     table: InnerProductTable,
     q2: int = 32,
     int_bits: int = 7,
-    eps_target: float = 1e-2,
     sign_source: str = "anchor",
     reference_signs: np.ndarray | None = None,
     seed: int = 0,
@@ -543,7 +523,7 @@ def assemble_digital_state(
         signs[signs == 0] = 1.0
         anchor_idx = None
     else:
-        signs, anchor_idx = _anchor_signs(ds, sol, seed, mode, shots, None)
+        signs, anchor_idx = _anchor_signs(ds, sol, seed, mode, shots)
         log.charge("hadamard_sign_tests", float(ds.n_samples * m + m))
 
     values = signs * magnitudes

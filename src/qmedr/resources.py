@@ -50,12 +50,6 @@ class CostLog(dict):
     def charge(self, key: str, amount: float) -> None:
         self[key] = self.get(key, 0.0) + float(amount)
 
-    def merged(self, other: dict) -> "CostLog":
-        out = CostLog(self)
-        for k, v in other.items():
-            out.charge(k, v)
-        return out
-
 
 def _log2(x: float) -> float:
     return math.log2(max(x, 2.0))
@@ -64,11 +58,6 @@ def _log2(x: float) -> float:
 def dense_encode_cost(dim: int) -> float:
     """Stand-in charge for a structured-memory dense encoding lookup."""
     return _log2(dim) + 1.0
-
-
-def exp_encoding_cost(alpha: float, kappa: float, eps: float, a: int, t_u: float) -> float:
-    """Cost of turning a block-encoded operator into its exponential's encoding."""
-    return alpha * kappa * _log2(1.0 / eps) * (a + t_u) + kappa * _log2(kappa / eps) * _log2(1.0 / eps)
 
 
 def grover_iterations(success_probability: float) -> int:

@@ -149,7 +149,7 @@ def test_criterion_05_qpe_register_sizing():
             dim = int(rng.choice([2, 4, 8]))
             h = random_hermitian_in_window(rng, dim, 10.0)
             be = block_encode_dense(h, alpha=1.0)
-            per = simulate_qpe(be, q1, t=2.0, eta=eta, accuracy_bits=n)
+            per = simulate_qpe(be, q1, t=2.0)
             for j in range(per.n_pairs):
                 mass = per.mass_within(j, n)
                 assert mass >= 1.0 - eta

@@ -8,14 +8,12 @@ from conftest import make_blobs
 from qmedr.datasets import synth_blobs
 from qmedr.embedding import (
     Dataset,
-    MedrProblem,
     build_eda,
     build_elpp,
     build_enpe,
     build_problem,
     complement_graph,
     knn_graph,
-    make_problem,
     npe_weights,
     pairwise_sq_distances,
     precondition,
@@ -289,13 +287,6 @@ class TestBuilders:
         with pytest.raises(ValueError, match="labels"):
             build_eda(Dataset(X=np.eye(6)))
 
-    def test_make_problem_generic(self, rng):
-        a = rng.normal(size=(4, 4))
-        p = make_problem(a @ a.T, np.eye(4), 10.0)
-        assert isinstance(p, MedrProblem)
-        assert p.variant == "custom"
-        assert spectrum_window_defect(p.s1, 10.0) <= 1e-9
-
 
 class TestNpeWeights:
     def test_exact_mean_reconstruction(self):
@@ -314,6 +305,23 @@ class TestNpeWeights:
         w = npe_weights(ds, k)
         assert np.all((np.abs(w) > 0).sum(axis=1) <= k)
         assert np.all(np.diag(w) == 0)
+
+    def test_batched_solve_matches_per_sample_loop(self):
+        # one batched solve gives the bits of N separate k x k solves
+        def per_sample(ds, k):
+            _, neighbors = emb._nearest_neighbors(ds.X, k)
+            w = np.zeros((ds.n_samples, ds.n_samples))
+            for i, nbrs in enumerate(neighbors):
+                diffs = ds.X[i] - ds.X[nbrs]
+                gram = diffs @ diffs.T
+                gram = gram + 1e-8 * np.trace(gram) * np.eye(k)
+                sol = np.linalg.solve(gram, np.ones(k))
+                w[i, nbrs] = sol / sol.sum()
+            return w
+
+        for (n, f), seed, k in [((32, 16), 0, 4), ((40, 12), 1, 7), ((128, 64), 2, 4)]:
+            ds = Dataset(X=np.random.default_rng(seed).normal(size=(n, f)))
+            assert npe_weights(ds, k).tobytes() == per_sample(ds, k).tobytes()
 
     def test_all_duplicate_samples_assert(self):
         # zero local Gram cannot be regularized away; flagged loudly

@@ -67,7 +67,7 @@ class TestSimulateQpe:
         q1 = n + int(np.ceil(np.log2(2 + 1 / eta)))
         h = random_hermitian_in_window(rng, 4, 2.0)
         be = block_encode_dense(h, alpha=1.0)
-        per = simulate_qpe(be, q1, t=2.0, eta=eta, accuracy_bits=n)
+        per = simulate_qpe(be, q1, t=2.0)
         for j in range(per.n_pairs):
             assert per.mass_within(j, n) >= 1 - eta
 
@@ -145,7 +145,7 @@ def _per_with_phases(phases, q1):
     n = len(phases)
     return PhaseEstimationResult(
         q1=q1, t=2.0 * np.pi, eigenvalues=np.asarray(phases, dtype=float), eigenvectors=np.eye(n),
-        phases=np.asarray(phases, dtype=float), weights=np.full(n, 1.0 / n),
+        phases=np.asarray(phases, dtype=float),
     )
 
 
@@ -409,7 +409,7 @@ class TestDigitalAssembly:
         ds = Dataset(X=x)
         sol = basis_solution(4, [0, 1])
         table = estimate_inner_products(ds, sol, eps2=1e-15)
-        digital = assemble_digital_state(ds, sol, table, eps_target=1e-6)
+        digital = assemble_digital_state(ds, sol, table)
         assert np.max(np.abs(digital.entries - x[:, :2])) <= 1e-6
 
     def test_error_formula_first_order(self):
@@ -430,7 +430,7 @@ class TestDigitalAssembly:
         eps2 = recommended_eps2(ds, 2, 1e-2)
         table = estimate_inner_products(ds, sol, eps2)
         digital = assemble_digital_state(
-            ds, sol, table, eps_target=1e-2, sign_source="reference",
+            ds, sol, table, sign_source="reference",
             reference_signs=ds.X @ sol.eigenvectors,
         )
         exact = ds.X @ sol.eigenvectors
@@ -442,7 +442,7 @@ class TestDigitalAssembly:
         sol = basis_solution(4, [0])
         table = estimate_inner_products(ds, sol, eps2=1e-12)
         with pytest.raises(FixedPointOverflow) as info:
-            assemble_digital_state(ds, sol, table, q2=16, int_bits=7, eps_target=1e-3)
+            assemble_digital_state(ds, sol, table, q2=16, int_bits=7)
         assert info.value.required_int_bits == 9  # max magnitude ~301 needs 9 bits
 
     def test_reference_signs_copied(self):
@@ -451,7 +451,7 @@ class TestDigitalAssembly:
         y_ref = ds.X @ sol.eigenvectors
         table = estimate_inner_products(ds, sol, recommended_eps2(ds, 2, 1e-2))
         digital = assemble_digital_state(
-            ds, sol, table, eps_target=1e-2, sign_source="reference", reference_signs=y_ref,
+            ds, sol, table, sign_source="reference", reference_signs=y_ref,
         )
         mask = np.abs(y_ref) > digital.epsilon_total
         assert np.all(np.sign(digital.entries[mask]) == np.sign(y_ref[mask]))
@@ -464,7 +464,7 @@ class TestDigitalAssembly:
         signed = apply_dataset_signs(sol, ds.X)
         y_ref = ds.X @ signed.eigenvectors
         table = estimate_inner_products(ds, sol, recommended_eps2(ds, 2, 1e-2))
-        digital = assemble_digital_state(ds, sol, table, eps_target=1e-2, sign_source="anchor")
+        digital = assemble_digital_state(ds, sol, table, sign_source="anchor")
         mask = np.abs(y_ref) > digital.epsilon_total
         assert np.all(np.sign(digital.entries[mask]) == np.sign(y_ref[mask]))
 
@@ -472,8 +472,7 @@ class TestDigitalAssembly:
         ds = make_blobs(seed=5, n=12, m=8)
         sol = basis_solution(8, [0, 1])
         table = estimate_inner_products(ds, sol, eps2=1e-8)
-        digital = assemble_digital_state(ds, sol, table, eps_target=1e-3,
-                                         sign_source="reference",
+        digital = assemble_digital_state(ds, sol, table, sign_source="reference",
                                          reference_signs=np.ones((12, 2)))
         assert digital.amplitude == pytest.approx(1.0 / np.sqrt(12 * 2))
 

@@ -3,18 +3,18 @@
     python tools/report_corpus.py [--src DIR] [--keep DIR] > digests.txt
     python tools/report_corpus.py --diff A B
 
-For every config it runs ``qmedr compare`` and ``qmedr graph`` through
-``qmedr.cli.main`` into a temporary directory and prints one line: the
-config, the two exit codes and the sha256 of ``report.json``,
-``compare.csv`` and ``graph.json``. Run it on two source trees (``--src``
-points at a tree's ``src`` directory; the default is this repository's) and
-diff the outputs: equal lines mean byte-identical reports.
+For every config it runs ``qmedr compare``, ``graph``, ``classical`` and
+``quantum-sim`` through ``qmedr.cli.main`` into a temporary directory and
+prints one line: the config, the four exit codes and the sha256 of every
+file those commands write. Run it on two source trees (``--src`` points at a
+tree's ``src`` directory; the default is this repository's) and diff the
+outputs: equal lines mean byte-identical reports.
 
 ``--keep DIR`` writes the datasets and every config's output directory under
 DIR instead of a temporary directory. ``--diff A B`` compares two such
 directories: for each config whose files differ it prints every differing
-``report.json`` leaf by JSON path with its maximum absolute delta (numeric
-leaves) or both values, and names each other file whose bytes differ. A
+JSON leaf by file and path with its maximum absolute delta (numeric leaves)
+or both values, and names each CSV file whose bytes differ. A
 change that moves a field in its last bits is then stated field by field.
 
 Corpus: ``synth_blobs`` data with two classes and seed 0 at
@@ -37,7 +37,9 @@ from pathlib import Path
 SHAPES = ((32, 16), (64, 32), (128, 64), (40, 12))
 VARIANTS = ("ELPP", "EUDP", "ENPE", "EDA")
 MODES = ("deterministic", "sampled")
-OUTPUTS = ("report.json", "compare.csv", "graph.json")
+COMMANDS = ("compare", "graph", "classical", "quantum-sim")
+OUTPUTS = ("report.json", "compare.csv", "graph.json", "classical.json", "y_classical.csv",
+           "quantum.json", "y_quantum.csv")
 
 
 def corpus():
@@ -65,10 +67,9 @@ def run_corpus(src: str, root: Path) -> None:
         argv = [str(root / f"{n}x{f}.csv"), "--variant", variant, "--mode", mode,
                 "--out-dir", str(out)] + (["--analog"] if analog else [])
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            rc = [cli.main([command] + argv) for command in ("compare", "graph")]
+            rc = "/".join(str(cli.main([command] + argv)) for command in COMMANDS)
         digests = " ".join(digest(out / name) for name in OUTPUTS)
-        print(f"{n}x{f} {variant} {mode} analog={int(analog)} rc={rc[0]}/{rc[1]} {digests}",
-              flush=True)
+        print(f"{n}x{f} {variant} {mode} analog={int(analog)} rc={rc} {digests}", flush=True)
 
 
 def json_leaves(doc, path: str = "$"):
@@ -88,7 +89,7 @@ def _is_number(value) -> bool:
 
 
 def diff_reports(a: Path, b: Path) -> dict:
-    """Differing leaves of two report.json files: path -> (delta or None, a, b)."""
+    """Differing leaves of two JSON files: path -> (delta or None, a, b)."""
     leaves_a = dict(json_leaves(json.loads(a.read_text())))
     leaves_b = dict(json_leaves(json.loads(b.read_text())))
     out = {}
@@ -116,8 +117,9 @@ def diff_trees(a: Path, b: Path) -> int:
             fa, fb = a / config / name, b / config / name
             if digest(fa) == digest(fb):
                 continue
-            if name == "report.json" and fa.exists() and fb.exists():
-                for path, (delta, va, vb) in diff_reports(fa, fb).items():
+            if name.endswith(".json") and fa.exists() and fb.exists():
+                for leaf, (delta, va, vb) in diff_reports(fa, fb).items():
+                    path = f"{name}:{leaf}"
                     if delta is None:
                         lines.append(f"  {path}: {va!r} -> {vb!r}")
                         changed.add(path)
