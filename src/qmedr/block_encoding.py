@@ -25,7 +25,7 @@ import numpy as np
 
 from .linalg import (
     as_square,
-    expm,
+    frobenius_norm,
     hermiticity_defect,
     hermitian_eig,
     hermitize,
@@ -82,22 +82,31 @@ def _memoized_defect(obj, compute):
     return cached
 
 
-def _hermitian_norm(h: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
-
-
 def _leaf_defect(c: np.ndarray, s: np.ndarray) -> float:
     """Spectral-norm bound on B^dag B - I for the leaf B = [[c, s], [s, -c]].
 
     B^dag B - I = [[A, X], [-X, A]] with A = c^dag c + s^dag s - I Hermitian
     and X = c^dag s - s^dag c anti-Hermitian, so ||A|| + ||X|| bounds it from
-    d-dim pieces.
+    d-dim pieces, and their Frobenius norms bound those without an eigensolver.
     """
-    cs = c.conj().T @ s
-    a = c.conj().T @ c + s.conj().T @ s - np.eye(c.shape[0])
-    x = cs - cs.conj().T
-    # ||X||^2 = ||X^dag X||, a real eigenproblem for real leaves
-    return _hermitian_norm(a) + math.sqrt(_hermitian_norm(x.conj().T @ x))
+    ch = c.conj().T
+    cs = ch @ s
+    a = ch @ c + s.conj().T @ s - np.eye(c.shape[0])
+    return frobenius_norm(a) + frobenius_norm(cs - cs.conj().T)
+
+
+def _dilation_norm(m: np.ndarray, d: int) -> float:
+    """Bound on the spectral norm of m = [[A, B], [C, D]] from its d-dim blocks.
+
+    ||m|| <= ||[[||A||_F, ||B||], [||C||, ||D||_F]]||, with equality when A and
+    D vanish, as they do in a Hermitian dilation; a nonzero diagonal block
+    still raises the bound. C = B^dag, as in a dilation, reuses ||B||.
+    """
+    b, c = m[:d, d:], m[d:, :d]
+    nb = spectral_norm(b)
+    nc = nb if np.array_equal(c, b.conj().T) else spectral_norm(c)
+    return spectral_norm(np.array([[frobenius_norm(m[:d, :d]), nb],
+                                   [nc, frobenius_norm(m[d:, d:])]]))
 
 
 @dataclass(frozen=True)
@@ -292,16 +301,28 @@ class BlockEncoding:
         return self.alpha * self.unitary.top_left(self.system_dim)
 
     def block_error(self) -> float:
-        return spectral_norm(self.target - self.extracted())
+        return _system_norm(self, self.target - self.extracted())
 
 
-def _verify_encoding(be: BlockEncoding, unitarity_tol: float = 1e-9) -> None:
+def _system_norm(be: BlockEncoding, m: np.ndarray) -> float:
+    """Spectral norm of a matrix on ``be``'s system register. A dilation's is
+    bounded from its d-dim blocks, exactly when the diagonal blocks vanish, so
+    no 2d-dim SVD is made."""
+    if isinstance(be.unitary, DilationUnitary):
+        return _dilation_norm(m, be.system_dim // 2)
+    return spectral_norm(m)
+
+
+def _verify_encoding(be: BlockEncoding, target_norm: float | None = None,
+                     unitarity_tol: float = 1e-9) -> None:
+    """Reject ``be`` unless its block error, target norm and unitarity defect
+    hold; a constructor that already knows the target's norm passes it."""
     err = be.block_error()
     if err > be.epsilon + 1e-9:
         raise BlockEncodingError(
             f"block error {err:.3e} exceeds certified epsilon {be.epsilon:.3e}"
         )
-    norm = spectral_norm(be.target)
+    norm = _system_norm(be, be.target) if target_norm is None else target_norm
     if norm > be.alpha + be.epsilon + 1e-9:
         raise BlockEncodingError(
             f"target norm {norm:.6f} exceeds alpha + epsilon = {be.alpha + be.epsilon:.6f}"
@@ -356,7 +377,7 @@ def block_encode_dense(a_matrix, alpha: float) -> BlockEncoding:
         epsilon=1e-12,
         target=padded,
     )
-    _verify_encoding(be)
+    _verify_encoding(be, target_norm=norm)
     return be
 
 
@@ -466,7 +487,8 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
     factored form (an ``LcuUnitary``): the prepare and the (cos, sin) leaves
     are kept, never their product. The cosine of leaf l is (H - I)^l, formed
     by repeated products; its sine V.diag(sqrt(1 - (lam - 1)^(2l))).V^dag
-    comes from H's eigendecomposition, which also checks the spectral window.
+    comes from H's eigendecomposition, which also checks the spectral window
+    and gives the target V.diag(e^(sign*lam)).V^dag with its norm.
     The flip slot is (0, I) and each padding slot (I, 0).
     """
     if sign not in (1, -1):
@@ -509,7 +531,8 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
     cos += [zero] + [eye] * padding
     sin += [eye] + [zero] * padding
 
-    target = expm(sign * hermitize(be.target))
+    growth = np.exp(sign * spec.eigenvalues)
+    target = (v * growth) @ v.conj().T
     out = BlockEncoding(
         unitary=LcuUnitary(prep=prep, cos=tuple(cos), sin=tuple(sin)),
         alpha=b_norm,
@@ -518,5 +541,5 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
         epsilon=b_norm * eps,
         target=target,
     )
-    _verify_encoding(out)
+    _verify_encoding(out, target_norm=float(np.max(growth)))
     return out

@@ -58,15 +58,18 @@ class HermitianSpectrum:
 
 def _fix_vector_signs(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its first component above threshold is positive real."""
-    v = v.copy()
+    out = v.copy()
     n = v.shape[0]
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        idx = np.argmax(np.abs(col) > 1e-12 / max(n, 1))
-        pivot = col[idx]
-        if np.abs(pivot) > 0:
-            v[:, j] = col * (np.conj(pivot) / np.abs(pivot))
-    return v
+    if n == 0:
+        return out
+    # a column with no component above threshold pivots on its first entry
+    idx = np.argmax(np.abs(v) > 1e-12 / n, axis=0)
+    pivot = v[idx, np.arange(v.shape[1])]
+    mag = np.abs(pivot)
+    turn = mag > 0
+    # each turned column times its own scalar, as a per-column loop would
+    out.T[turn] = v.T[turn] * (np.conj(pivot[turn]) / mag[turn])[:, None]
+    return out
 
 
 def hermitian_eig(m) -> HermitianSpectrum:

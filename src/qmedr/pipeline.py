@@ -202,11 +202,10 @@ def quantum_stage(problem: MedrProblem, padded: Dataset, cfg: RunConfig,
     enc2 = bk.be_exp(u2, -1, cfg.eps_be, problem.kappa2)
     product = bk.be_product(enc2, enc1)
     t_encode = resources.dense_encode_cost(problem.dim)
-    step1_logged = max(
-        u1.alpha * problem.kappa1 * (u1.ancillas + t_encode),
-        u2.alpha * problem.kappa2 * (u2.ancillas + t_encode),
-    )
-    log.charge("step1_time_units", step1_logged)
+    eps2 = cfg.eps2 if cfg.eps2 is not None else qs.recommended_eps2(padded, cfg.m, cfg.eps)
+    params = _resource_params(padded, cfg, problem, t_encode, eps2)
+    t_units = resources.step1_time(params)
+    log.charge("step1_time_units", t_units)
 
     extracted = bk.be_extract(product)
     dilated = hermiticity_defect(extracted) > cl.SYMMETRY_THRESHOLD
@@ -222,7 +221,6 @@ def quantum_stage(problem: MedrProblem, padded: Dataset, cfg: RunConfig,
     direction = cl.direction_for_variant(cfg.variant)
     sol = qs.find_extreme_eigenvalues(per, cfg.m, direction, cost_log=log)
 
-    eps2 = cfg.eps2 if cfg.eps2 is not None else qs.recommended_eps2(padded, cfg.m, cfg.eps)
     rng = np.random.default_rng(cfg.seed)
     table = qs.estimate_inner_products(padded, sol, eps2, mode=cfg.mode, rng=rng, cost_log=log)
 
@@ -254,8 +252,6 @@ def quantum_stage(problem: MedrProblem, padded: Dataset, cfg: RunConfig,
             padded, sol, seed=cfg.seed, mode=cfg.mode, shots=cfg.shots, cost_log=log,
         )
 
-    params = _resource_params(padded, cfg, problem, t_encode, eps2)
-    t_units = resources.step1_time(params)
     prep_queries = float((1 << cfg.q1) - 1)
     step2_logged = (log.get("minfind_grover_iterations", 0.0) + 1.0) * prep_queries * (
         t_units + params.a + params.b
@@ -265,7 +261,7 @@ def quantum_stage(problem: MedrProblem, padded: Dataset, cfg: RunConfig,
         * (t_units + params.a + params.b)
         * log.get("step3_ae_repetitions", 1.0)
     )
-    logged_steps = {"step1": step1_logged, "step2": step2_logged, "step3": step3_logged}
+    logged_steps = {"step1": t_units, "step2": step2_logged, "step3": step3_logged}
 
     return QuantumRun(
         problem=problem,

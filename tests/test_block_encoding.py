@@ -372,3 +372,81 @@ class TestLcuUnitary:
         assert peak < 128 * 2**20
         with pytest.raises(MemoryError):
             enc.unitary.to_dense()
+
+
+def _exact_leaf_defect(c, s):
+    # ||B^dag B - I|| of the dense leaf B = [[c, s], [s, -c]]
+    b = np.block([[c, s], [s, -c]])
+    return float(np.max(np.abs(np.linalg.eigvalsh(b.conj().T @ b - np.eye(b.shape[0])))))
+
+
+@dataclasses.dataclass(frozen=True)
+class _FaultyDilation(bk.DilationUnitary):
+    """A dilation whose extracted block carries an added fault."""
+
+    fault: np.ndarray = None
+
+    def top_left(self, d):
+        return super().top_left(d) + self.fault
+
+
+class TestVerificationNorms:
+    def test_frobenius_leaf_bound_dominates_exact_defect(self, rng):
+        for dim in (1, 2, 4, 8, 16):
+            for complex_ in (False, True):
+                for scale in (1.0, 1e-6):
+                    # a unitary leaf (c, s) = (V.diag(x).V^T, V.diag(sqrt(1 - x^2)).V^T)
+                    # plus a perturbation of the given scale
+                    v, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+                    x = rng.uniform(-1.0, 1.0, size=dim)
+                    c, s = (v * x) @ v.T, (v * np.sqrt(1.0 - x**2)) @ v.T
+                    pc, ps = rng.normal(size=(2, dim, dim))
+                    if complex_:
+                        pc = pc + 1j * rng.normal(size=(dim, dim))
+                        ps = ps + 1j * rng.normal(size=(dim, dim))
+                    c, s = c + scale * pc, s + scale * ps
+                    # equal in exact arithmetic at dim 1, so allow the rounding
+                    # of unit-sized entries
+                    assert bk._leaf_defect(c, s) >= _exact_leaf_defect(c, s) - 1e-15
+
+    def test_dilation_norms_match_full_spectral_norm(self, rng):
+        for make in (random_hermitian_in_window, _complex_hermitian_in_window):
+            for dim in (2, 4, 8):
+                u1 = block_encode_dense(make(rng, dim, 2.0), alpha=1.0)
+                u2 = block_encode_dense(make(rng, dim, 2.0), alpha=1.0)
+                # a coarse eps leaves a block error well above rounding
+                pair = be_product(be_exp(u2, -1, 1e-2, 2.0), be_exp(u1, +1, 1e-2, 2.0))
+                dil = be_hermitian_dilation(pair)
+                full_err = spectral_norm(dil.target - dil.extracted())
+                assert full_err > 1e-6
+                assert dil.block_error() == pytest.approx(full_err, rel=1e-12)
+                assert bk._system_norm(dil, dil.target) == pytest.approx(
+                    spectral_norm(dil.target), rel=1e-12)
+
+    def test_dilation_norm_bounds_any_blocks(self, rng):
+        for dim in (1, 3, 8):
+            m = rng.normal(size=(2 * dim, 2 * dim)) + 1j * rng.normal(size=(2 * dim, 2 * dim))
+            assert bk._dilation_norm(m, dim) >= spectral_norm(m) * (1 - 1e-12)
+            m[:dim, :dim] = m[dim:, dim:] = 0.0
+            assert bk._dilation_norm(m, dim) == pytest.approx(spectral_norm(m), rel=1e-12)
+
+    @staticmethod
+    def _with_fault(dil, place):
+        d = dil.system_dim // 2
+        fault = np.zeros((2 * d, 2 * d))
+        rows, cols = {"upper": (0, d), "lower": (d, 0), "top-left": (0, 0),
+                      "bottom-right": (d, d)}[place]
+        fault[rows : rows + d, cols : cols + d] = 1e-6 * np.eye(d)
+        u = dil.unitary
+        faulty = _FaultyDilation(inner=u.inner, anc_qubits=u.anc_qubits,
+                                 system_dim=u.system_dim, fault=fault)
+        return dataclasses.replace(dil, unitary=faulty)
+
+    def test_dilation_faults_raise_block_error(self, rng):
+        for dim in (2, 8):
+            inner = block_encode_dense(random_contraction(rng, dim), alpha=1.0)
+            dil = be_hermitian_dilation(inner)
+            bk._verify_encoding(dil)
+            for place in ("upper", "lower", "top-left", "bottom-right"):
+                with pytest.raises(BlockEncodingError, match="block error"):
+                    bk._verify_encoding(self._with_fault(dil, place))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmedr.linalg import (
+    _fix_vector_signs,
     expm,
     frobenius_norm,
     hermitian_eig,
@@ -54,6 +55,54 @@ class TestHermitianEig:
             a = rng.normal(size=(5, 5))
             w = hermitian_eig((a + a.T) / 2).eigenvalues
             assert np.all(np.diff(w) >= 0)
+
+
+def _fix_vector_signs_by_column(v):
+    # the per-column loop the vectorized rule must reproduce bit for bit
+    v = v.copy()
+    n = v.shape[0]
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        idx = np.argmax(np.abs(col) > 1e-12 / max(n, 1))
+        pivot = col[idx]
+        if np.abs(pivot) > 0:
+            v[:, j] = col * (np.conj(pivot) / np.abs(pivot))
+    return v
+
+
+class TestFixVectorSigns:
+    @staticmethod
+    def _cases(rng):
+        for n in range(1, 10):
+            for k in range(1, 10):
+                for complex_ in (False, True):
+                    v = rng.normal(size=(n, k))
+                    if complex_:
+                        v = v + 1j * rng.normal(size=(n, k))
+                    yield v
+                    # a zero column, a column below threshold, a signed-zero row
+                    w = v.copy()
+                    w[:, 0] = 0.0
+                    w[:, -1] *= 1e-15
+                    w[0, :] = -0.0
+                    yield w
+                    yield np.asfortranarray(v)
+        for n in (17, 64):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            yield np.linalg.eigh(a + a.conj().T)[1]
+            yield np.linalg.eigh(a.real + a.real.T)[1]
+
+    def test_matches_per_column_loop(self, rng):
+        for v in self._cases(rng):
+            got, want = _fix_vector_signs(v), _fix_vector_signs_by_column(v)
+            assert got.dtype == want.dtype and got.strides == want.strides
+            assert got.tobytes() == want.tobytes()
+
+    def test_all_zero_columns_unchanged(self):
+        for dtype in (float, complex):
+            v = np.zeros((4, 3), dtype=dtype)
+            assert np.array_equal(_fix_vector_signs(v), v)
+        assert _fix_vector_signs(np.zeros((0, 0))).shape == (0, 0)
 
 
 class TestExpm:

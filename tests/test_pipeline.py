@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qmedr import classical, datasets, embedding, pipeline
+from qmedr import block_encoding, classical, datasets, embedding, pipeline, resources
 from qmedr.pipeline import RunConfig, compare_outputs, full_report, quantum_stage, run_classical
 
 # (variant, N, F, dataset seed, m, k, run seed); the last ENPE case has a
@@ -66,6 +66,64 @@ class TestBuildOnce:
         comp = embedding.complement_graph(graph)
         assert problem.complement_fro == np.linalg.norm(comp.L)
         assert embedding.build_elpp(ds, graph).complement_fro is None
+
+
+@pytest.fixture
+def verification(monkeypatch):
+    """Record the shape of every matrix whose spectral norm the block-encoding
+    layer takes, and count eigensolver and SVD calls made inside a leaf defect."""
+    record = {"shapes": [], "leaf_eigensolves": 0, "leaves": 0}
+    in_leaf = [False]
+    spectral_norm = block_encoding.spectral_norm
+
+    def norm(m):
+        record["shapes"].append(np.shape(m))
+        return spectral_norm(m)
+
+    leaf_defect = block_encoding._leaf_defect
+
+    def leaf(c, s):
+        record["leaves"] += 1
+        in_leaf[0] = True
+        try:
+            return leaf_defect(c, s)
+        finally:
+            in_leaf[0] = False
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            record["leaf_eigensolves"] += in_leaf[0]
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(block_encoding, "spectral_norm", norm)
+    monkeypatch.setattr(block_encoding, "_leaf_defect", leaf)
+    return record
+
+
+class TestVerificationAtSystemSize:
+    def test_dilated_stage_measures_no_matrix_wider_than_the_system(self, verification):
+        ds = datasets.synth_blobs(64, 64, 2, seed=0)
+        cfg = RunConfig(variant="ELPP")
+        problem, padded = pipeline._build(ds, cfg)
+        run = quantum_stage(problem, padded, cfg)
+        assert run.dilated and problem.dim == 64
+        assert verification["shapes"]
+        assert max(max(shape) for shape in verification["shapes"]) <= problem.dim
+        assert verification["leaves"] > 0
+        assert verification["leaf_eigensolves"] == 0
+
+    def test_step1_charge_is_the_resource_formula(self):
+        ds = datasets.synth_blobs(32, 16, 2, seed=0)
+        for variant in ("ELPP", "EUDP", "ENPE", "EDA"):
+            cfg = RunConfig(variant=variant)
+            problem, padded = pipeline._build(ds, cfg)
+            run = quantum_stage(problem, padded, cfg)
+            step1 = resources.step1_time(run.params)
+            assert run.logged_steps["step1"] == step1 == 60.0
+            assert run.cost_log.get("step1_time_units") == step1
 
 
 class TestDegenerateCutEntries:
