@@ -6,13 +6,13 @@ significant qubits. Constructions here build the unitaries explicitly so
 every claimed bound can be measured directly. Encodings carry no query
 costs: the pipeline charges those to the run's cost log.
 
-Composite unitaries (products, Hermitian dilations and the
-prepare-select-unprepare combination behind exponential encodings) keep an
-exactly factored form so large register counts stay affordable: the factored
-objects expose the same dense matrix (for small dimensions) and exact
-top-left block extraction. Every unitary's ``unitarity_defect`` is a bound on
-the spectral norm of U^dag U - I: measured on a dense matrix, and built from
-the factors' defects for a composite, never from its dense form.
+Every unitary stays in exactly factored form so large register counts stay
+affordable. The leaves are prepare-select-unprepare combinations (a dense
+encoding is one with a single slot), and products and Hermitian dilations
+compose them; each exposes the same dense matrix (for small dimensions) and
+exact top-left block extraction. Every unitary's ``unitarity_defect`` is a
+bound on the spectral norm of U^dag U - I composed from d-dim blocks: only
+the small prepare is measured densely, and no composite is ever made dense.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .linalg import (
     hermitian_eig,
     hermitize,
     spectral_norm,
-    unitarity_defect as _dense_defect,
 )
 
 EXP_NORMALIZATION = float(np.exp(2.0))
@@ -46,19 +45,6 @@ _EPS_MACH = float(np.finfo(float).eps)
 
 class BlockEncodingError(ValueError):
     """Raised when a construction cannot certify its claimed encoding."""
-
-
-def _cs_dilation(c: np.ndarray) -> np.ndarray:
-    """One-ancilla unitary dilation of a contraction via the cosine-sine blocks.
-
-    All four blocks are built from a single SVD so the off-diagonal
-    cancellations hold to rounding even for singular values at 1.
-    """
-    u, s, vh = np.linalg.svd(c)
-    sines = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
-    upper = (u * sines) @ u.conj().T
-    lower = (vh.conj().T * sines) @ vh
-    return np.block([[c, upper], [lower, -c.conj().T]])
 
 
 def _householder_prep(amplitudes: np.ndarray) -> np.ndarray:
@@ -82,17 +68,27 @@ def _memoized_defect(obj, compute):
     return cached
 
 
-def _leaf_defect(c: np.ndarray, s: np.ndarray) -> float:
-    """Spectral-norm bound on B^dag B - I for the leaf B = [[c, s], [s, -c]].
+def _leaf_defect(c: np.ndarray, u: np.ndarray, l: np.ndarray) -> float:
+    """Spectral-norm bound on B^dag B - I for the leaf B = [[c, u], [l, -c^dag]].
 
-    B^dag B - I = [[A, X], [-X, A]] with A = c^dag c + s^dag s - I Hermitian
-    and X = c^dag s - s^dag c anti-Hermitian, so ||A|| + ||X|| bounds it from
-    d-dim pieces, and their Frobenius norms bound those without an eigensolver.
+    B^dag B - I = [[A, X], [X^dag, D]] with A = c^dag c + l^dag l - I,
+    D = u^dag u + c c^dag - I and X = c^dag u - l^dag c^dag, so
+    max(||A||, ||D||) + ||X|| bounds it from d-dim pieces, and Frobenius norms
+    bound those without an eigensolver. A shared sine u = l = s needs three
+    products: B0 = [[c, s], [s, -c]] has B0^dag B0 - I = [[A, Y], [-Y, A]] with
+    Y = c^dag s - s^dag c, and B^dag B - B0^dag B0 = [[0, s^dag K], [-K s,
+    K c - c K]] for K = c - c^dag adds at most (2||c|| + ||s||) ||K||.
     """
     ch = c.conj().T
-    cs = ch @ s
-    a = ch @ c + s.conj().T @ s - np.eye(c.shape[0])
-    return frobenius_norm(a) + frobenius_norm(cs - cs.conj().T)
+    eye = np.eye(c.shape[0])
+    if u is l:
+        cs = ch @ u
+        a = ch @ c + u.conj().T @ u - eye
+        return (frobenius_norm(a) + frobenius_norm(cs - cs.conj().T)
+                + (2.0 * frobenius_norm(c) + frobenius_norm(u)) * frobenius_norm(c - ch))
+    a = ch @ c + l.conj().T @ l - eye
+    d = u.conj().T @ u + c @ ch - eye
+    return max(frobenius_norm(a), frobenius_norm(d)) + frobenius_norm(ch @ u - l.conj().T @ ch)
 
 
 def _dilation_norm(m: np.ndarray, d: int) -> float:
@@ -107,26 +103,6 @@ def _dilation_norm(m: np.ndarray, d: int) -> float:
     nc = nb if np.array_equal(c, b.conj().T) else spectral_norm(c)
     return spectral_norm(np.array([[frobenius_norm(m[:d, :d]), nb],
                                    [nc, frobenius_norm(m[d:, d:])]]))
-
-
-@dataclass(frozen=True)
-class DenseUnitary:
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def to_dense(self, limit: int = _MATERIALIZE_LIMIT) -> np.ndarray:
-        if self.dim > limit:
-            raise MemoryError(f"refusing to materialize {self.dim}x{self.dim} unitary")
-        return self.matrix
-
-    def top_left(self, d: int) -> np.ndarray:
-        return self.matrix[:d, :d]
-
-    def unitarity_defect(self) -> float:
-        return _memoized_defect(self, lambda: _dense_defect(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -232,14 +208,15 @@ class LcuUnitary:
     """Prepare-select-unprepare on registers (index, flag qubit, system).
 
     Realizes (P^T x I) . (sum_l |l><l| x B_l) . (P x I) for a real orthogonal
-    prepare P, where each select leaf B_l = [[cos[l], sin[l]], [sin[l], -cos[l]]]
-    is kept as its two d-dim blocks; the top-left system block is exactly
-    sum_l P[l, 0]^2 * cos[l].
+    prepare P, where each select leaf
+    B_l = [[cos[l], upper[l]], [lower[l], -cos[l]^dag]] is kept as its d-dim
+    blocks; the top-left system block is exactly sum_l P[l, 0]^2 * cos[l].
     """
 
     prep: np.ndarray
     cos: tuple[np.ndarray, ...]
-    sin: tuple[np.ndarray, ...]
+    upper: tuple[np.ndarray, ...]
+    lower: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
@@ -250,30 +227,32 @@ class LcuUnitary:
             raise MemoryError(f"refusing to materialize {self.dim}x{self.dim} unitary")
         width = 2 * self.cos[0].shape[0]
         select = np.zeros((self.dim, self.dim), dtype=self.cos[0].dtype)
-        for l, (c, s) in enumerate(zip(self.cos, self.sin)):
+        for l, (c, u, lo) in enumerate(zip(self.cos, self.upper, self.lower)):
             s0 = l * width
-            select[s0 : s0 + width, s0 : s0 + width] = np.block([[c, s], [s, -c]])
+            select[s0 : s0 + width, s0 : s0 + width] = np.block([[c, u], [lo, -c.conj().T]])
         prep_full = np.kron(self.prep, np.eye(width))
         return prep_full.T @ select @ prep_full
 
     def top_left(self, d: int) -> np.ndarray:
         weights = self.prep[:, 0] ** 2
-        return sum(w * c[:d, :d] for w, c in zip(weights, self.cos) if w != 0.0)
+        terms = (w * c[:d, :d] for w, c in zip(weights, self.cos) if w != 0.0)
+        # the sum starts at the first term, so a lone leaf keeps its signed zeros
+        return sum(terms, next(terms))
 
     def unitarity_defect(self) -> float:
         def compute():
             # U^dag U - I = P^T S^dag (P P^T - I) S P + P^T (S^dag S - I) P + (P^T P - I),
-            # bounded from the prepare's and the leaves' spectral defects, so the
-            # dense product is never formed
-            d_p = _dense_defect(self.prep)
-            d_s = max(_leaf_defect(c, s) for c, s in zip(self.cos, self.sin))
+            # bounded from the prepare's and the leaves' defects (Frobenius norms,
+            # no eigensolver), so the dense product is never formed
+            d_p = frobenius_norm(self.prep.T @ self.prep - np.eye(self.prep.shape[0]))
+            d_s = max(map(_leaf_defect, self.cos, self.upper, self.lower))
             return (d_p + (1.0 + d_p) * d_s + (1.0 + d_p) * (1.0 + d_s) * d_p
                     + math.sqrt(self.dim) * _EPS_MACH)
 
         return _memoized_defect(self, compute)
 
 
-UnitaryLike = DenseUnitary | ProductUnitary | DilationUnitary | LcuUnitary
+UnitaryLike = ProductUnitary | DilationUnitary | LcuUnitary
 
 
 @dataclass(frozen=True)
@@ -356,21 +335,28 @@ def block_encode_dense(a_matrix, alpha: float) -> BlockEncoding:
     """Exact one-ancilla dilation of a dense matrix scaled by ``alpha``.
 
     The input is zero-padded to the next power-of-two dimension; ``alpha``
-    must dominate the spectral norm.
+    must dominate the spectral norm. The dilation is a one-slot
+    ``LcuUnitary`` with the leaf (c, W.sin.W^dag, V.sin.V^dag) for
+    c = A / alpha = W.diag(cos).V^dag: one SVD gives the norm and all three
+    blocks, so the off-diagonal cancellations hold to rounding even for
+    singular values at 1.
     """
     a = as_square(np.asarray(a_matrix, dtype=float if not np.iscomplexobj(a_matrix) else complex))
-    norm = spectral_norm(a)
-    if alpha < norm - 1e-12:
-        raise BlockEncodingError(f"alpha {alpha} is below the spectral norm {norm:.6e}")
     orig = a.shape[0]
     if orig < 1:
         raise BlockEncodingError("cannot encode an empty matrix")
     dim = 1 << int(math.ceil(math.log2(orig)))
     padded = np.zeros((dim, dim), dtype=a.dtype)
     padded[:orig, :orig] = a
-    contraction = padded / alpha
+    w, sv, vh = np.linalg.svd(padded)
+    norm = float(sv[0])
+    if alpha < norm - 1e-12:
+        raise BlockEncodingError(f"alpha {alpha} is below the spectral norm {norm:.6e}")
+    sines = np.sqrt(np.clip(1.0 - (sv / alpha) ** 2, 0.0, None))
+    leaf = LcuUnitary(prep=np.ones((1, 1)), cos=(padded / alpha,),
+                      upper=((w * sines) @ w.conj().T,), lower=((vh.conj().T * sines) @ vh,))
     be = BlockEncoding(
-        unitary=DenseUnitary(_cs_dilation(contraction)),
+        unitary=leaf,
         alpha=float(alpha),
         ancillas=1,
         system_qubits=int(math.log2(dim)),
@@ -484,11 +470,12 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
     power (with the coefficient's sign folded in), and a dump slot absorbs
     the truncation mass so the subnormalization is exactly e^2. The result
     is an (e^2, index+1 ancillas, e^2*eps)-encoding whose unitary stays in
-    factored form (an ``LcuUnitary``): the prepare and the (cos, sin) leaves
-    are kept, never their product. The cosine of leaf l is (H - I)^l, formed
-    by repeated products; its sine V.diag(sqrt(1 - (lam - 1)^(2l))).V^dag
-    comes from H's eigendecomposition, which also checks the spectral window
-    and gives the target V.diag(e^(sign*lam)).V^dag with its norm.
+    factored form (an ``LcuUnitary``): the prepare and the leaves are kept,
+    never their product. The cosine of leaf l is (H - I)^l, formed by
+    repeated products; its sine V.diag(sqrt(1 - (lam - 1)^(2l))).V^dag, one
+    array for both off-diagonal blocks, comes from H's eigendecomposition,
+    which also checks the spectral window and gives the target
+    V.diag(e^(sign*lam)).V^dag with its norm.
     The flip slot is (0, I) and each padding slot (I, 0).
     """
     if sign not in (1, -1):
@@ -529,12 +516,12 @@ def be_exp(be: BlockEncoding, sign: int, eps: float, kappa: float) -> BlockEncod
         power = power @ shift
     padding = idx_dim - order - 2
     cos += [zero] + [eye] * padding
-    sin += [eye] + [zero] * padding
+    sin = tuple(sin + [eye] + [zero] * padding)
 
     growth = np.exp(sign * spec.eigenvalues)
     target = (v * growth) @ v.conj().T
     out = BlockEncoding(
-        unitary=LcuUnitary(prep=prep, cos=tuple(cos), sin=tuple(sin)),
+        unitary=LcuUnitary(prep=prep, cos=tuple(cos), upper=sin, lower=sin),
         alpha=b_norm,
         ancillas=n_idx + 1,
         system_qubits=be.system_qubits,

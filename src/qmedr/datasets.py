@@ -56,15 +56,18 @@ def save_dataset_csv(ds: Dataset, path: str) -> None:
 
 
 def load_dataset_csv(path: str, with_labels: bool | None = None) -> Dataset:
-    """Read a dataset; label column detected from the header unless forced."""
+    """Read a dataset; label column detected from the header unless forced.
+
+    Errors name the file line (``path:line``); a label must be a finite integer.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = [r for r in reader if r and any(cell.strip() for cell in r)]
+        rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
     if not rows:
         raise ValueError(f"{path}: empty dataset file")
 
     header = None
-    first = rows[0]
+    first = rows[0][1]
     try:
         [float(cell) for cell in first]
     except ValueError:
@@ -77,9 +80,9 @@ def load_dataset_csv(path: str, with_labels: bool | None = None) -> Dataset:
     if has_labels is None:
         has_labels = bool(header) and header[-1].lower() == "label"
 
-    width = len(rows[0])
+    width = len(rows[0][1])
     data, labels = [], []
-    for lineno, row in enumerate(rows, start=2 if header else 1):
+    for lineno, row in rows:
         if len(row) != width:
             raise ValueError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
         try:
@@ -87,6 +90,8 @@ def load_dataset_csv(path: str, with_labels: bool | None = None) -> Dataset:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-numeric entry") from exc
         if has_labels:
+            if not vals[-1].is_integer():
+                raise ValueError(f"{path}:{lineno}: label {row[-1].strip()!r} is not an integer")
             data.append(vals[:-1])
             labels.append(int(vals[-1]))
         else:

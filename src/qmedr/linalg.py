@@ -111,9 +111,9 @@ def expm(m) -> np.ndarray:
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value."""
+    """Largest singular value; a zero or empty matrix gives exactly 0.0 with no SVD."""
     a = np.asarray(m)
-    if a.size == 0:
+    if not a.any():
         return 0.0
     return float(np.linalg.norm(a, 2))
 

@@ -9,7 +9,6 @@ from conftest import random_contraction, random_hermitian_in_window
 from qmedr.block_encoding import (
     EXP_NORMALIZATION,
     BlockEncodingError,
-    DenseUnitary,
     LcuUnitary,
     be_exp,
     be_extract,
@@ -17,13 +16,13 @@ from qmedr.block_encoding import (
     be_product,
     block_encode_dense,
 )
-from qmedr.linalg import expm, spectral_norm, unitarity_check
+from qmedr.linalg import expm, spectral_norm, unitarity_check, unitarity_defect
 
 
 class TestBlockEncodeDense:
     def test_half_identity(self):
         be = block_encode_dense(0.5 * np.eye(2), alpha=1.0)
-        u = be.unitary.matrix
+        u = be.unitary.to_dense()
         assert np.allclose(u[:2, :2], 0.5 * np.eye(2))
         assert np.allclose(u[:2, 2:], np.sqrt(0.75) * np.eye(2))
         assert np.allclose(u[2:, :2], np.sqrt(0.75) * np.eye(2))
@@ -31,7 +30,7 @@ class TestBlockEncodeDense:
 
     def test_identity_branch(self):
         be = block_encode_dense(np.eye(2), alpha=1.0)
-        u = be.unitary.matrix
+        u = be.unitary.to_dense()
         assert np.allclose(u, np.block([[np.eye(2), np.zeros((2, 2))],
                                         [np.zeros((2, 2)), -np.eye(2)]]))
 
@@ -61,19 +60,34 @@ class TestBlockEncodeDense:
             alpha = spectral_norm(a) * float(rng.uniform(1.0, 3.0))
             be = block_encode_dense(a, alpha=alpha)
             assert spectral_norm(be.target - be_extract(be)) <= 1e-9
-            assert be.unitary.matrix.dtype == np.float64
+            assert be.unitary.to_dense().dtype == np.float64
 
     def test_unitarity_property(self, rng):
         for _ in range(20):
             a = rng.normal(size=(4, 4))
             be = block_encode_dense(a, alpha=spectral_norm(a) + 0.1)
-            assert unitarity_check(be.unitary.matrix, 1e-9)
+            assert unitarity_check(be.unitary.to_dense(), 1e-9)
 
     def test_complex_input(self, rng):
         a = random_contraction(rng, 4) + 1j * random_contraction(rng, 4)
         a = 0.5 * a / spectral_norm(a)
         be = block_encode_dense(a, alpha=1.0)
         assert spectral_norm(be_extract(be) - a) <= 1e-9
+
+    def test_leaf_bound_rejects_scaled_sine(self, rng):
+        for a in (random_contraction(rng, 4),
+                  0.5 * (random_contraction(rng, 4) + 1j * random_contraction(rng, 4))):
+            be = block_encode_dense(a, alpha=1.0)
+            assert isinstance(be.unitary, LcuUnitary)
+            bk._verify_encoding(be)
+            # the off-diagonal blocks feed only the unitarity defect
+            for block in ("upper", "lower"):
+                scaled = ((1.0 + 1e-6) * getattr(be.unitary, block)[0],)
+                faulty = dataclasses.replace(
+                    be, unitary=dataclasses.replace(be.unitary, **{block: scaled}))
+                assert np.array_equal(faulty.extracted(), be.extracted())
+                with pytest.raises(BlockEncodingError, match="unitarity"):
+                    bk._verify_encoding(faulty)
 
 
 class TestProduct:
@@ -134,8 +148,8 @@ class TestProduct:
                     # move to order (ancB, ancA, sys) for a kron embedding
                     perm[(ia * b_dim + ib) * s + k] = (ib * a_dim + ia) * s + k
         p = np.eye(total)[perm]
-        ua_embedded = p.T @ np.kron(np.eye(b_dim), ua.unitary.matrix) @ p
-        ub_embedded = np.kron(np.eye(a_dim), ub.unitary.matrix)
+        ua_embedded = p.T @ np.kron(np.eye(b_dim), ua.unitary.to_dense()) @ p
+        ub_embedded = np.kron(np.eye(a_dim), ub.unitary.to_dense())
         assert np.allclose(dense, ua_embedded @ ub_embedded, atol=1e-12)
 
     def test_product_unitary_defect(self, rng):
@@ -309,7 +323,7 @@ class TestLcuUnitary:
             for make in (random_hermitian_in_window, _complex_hermitian_in_window):
                 enc = be_exp(block_encode_dense(make(rng, dim, 2.0), alpha=1.0), -1, 1e-8, kappa=2.0)
                 leaf = enc.unitary.unitarity_defect()
-                dense = DenseUnitary(enc.unitary.to_dense()).unitarity_defect()
+                dense = unitarity_defect(enc.unitary.to_dense())
                 assert dense <= leaf <= 1e-9
 
     def test_composite_bounds_dominate_dense_defect(self, rng):
@@ -325,16 +339,18 @@ class TestLcuUnitary:
                     composites.append(be_hermitian_dilation(exp_pair))
                 for be in composites:
                     bound = be.unitary.unitarity_defect()
-                    dense = DenseUnitary(be.unitary.to_dense()).unitarity_defect()
+                    dense = unitarity_defect(be.unitary.to_dense())
                     assert dense <= bound <= 1e-9
 
     @staticmethod
     def _with_scaled_leaf(enc, index, scale_cos, scale_sin):
         lcu = enc.unitary
-        cos, sin = list(lcu.cos), list(lcu.sin)
+        cos, sin = list(lcu.cos), list(lcu.upper)
         cos[index] = scale_cos * cos[index]
         sin[index] = scale_sin * sin[index]
-        faulty = dataclasses.replace(lcu, cos=tuple(cos), sin=tuple(sin))
+        # one shared sine tuple, as be_exp builds it
+        sin = tuple(sin)
+        faulty = dataclasses.replace(lcu, cos=tuple(cos), upper=sin, lower=sin)
         return dataclasses.replace(enc, unitary=faulty)
 
     def test_leaf_bound_rejects_scaled_block(self, rng):
@@ -374,9 +390,9 @@ class TestLcuUnitary:
             enc.unitary.to_dense()
 
 
-def _exact_leaf_defect(c, s):
-    # ||B^dag B - I|| of the dense leaf B = [[c, s], [s, -c]]
-    b = np.block([[c, s], [s, -c]])
+def _exact_leaf_defect(c, u, l):
+    # ||B^dag B - I|| of the dense leaf B = [[c, u], [l, -c^dag]]
+    b = np.block([[c, u], [l, -c.conj().T]])
     return float(np.max(np.abs(np.linalg.eigvalsh(b.conj().T @ b - np.eye(b.shape[0])))))
 
 
@@ -404,10 +420,31 @@ class TestVerificationNorms:
                     if complex_:
                         pc = pc + 1j * rng.normal(size=(dim, dim))
                         ps = ps + 1j * rng.normal(size=(dim, dim))
+                    # the perturbed c is not Hermitian, so the shared-sine
+                    # bound must cover the -c^dag block
                     c, s = c + scale * pc, s + scale * ps
                     # equal in exact arithmetic at dim 1, so allow the rounding
                     # of unit-sized entries
-                    assert bk._leaf_defect(c, s) >= _exact_leaf_defect(c, s) - 1e-15
+                    assert bk._leaf_defect(c, s, s) >= _exact_leaf_defect(c, s, s) - 1e-15
+
+    def test_general_leaf_bound_dominates_exact_defect(self, rng):
+        for dim in (1, 2, 4, 8, 16):
+            for complex_ in (False, True):
+                for scale in (1.0, 1e-6):
+                    # the cosine-sine leaf (W.C.V^dag, W.S.W^dag, V.S.V^dag) of a
+                    # contraction, each block plus its own perturbation
+                    z = rng.normal(size=(2, dim, dim))
+                    if complex_:
+                        z = z + 1j * rng.normal(size=(2, dim, dim))
+                    (w, _), (v, _) = np.linalg.qr(z[0]), np.linalg.qr(z[1])
+                    x = rng.uniform(0.0, 1.0, size=dim)
+                    blocks = [(w * x) @ v.conj().T, (w * np.sqrt(1.0 - x**2)) @ w.conj().T,
+                              (v * np.sqrt(1.0 - x**2)) @ v.conj().T]
+                    p = rng.normal(size=(3, dim, dim))
+                    if complex_:
+                        p = p + 1j * rng.normal(size=(3, dim, dim))
+                    c, u, l = (b + scale * pb for b, pb in zip(blocks, p))
+                    assert bk._leaf_defect(c, u, l) >= _exact_leaf_defect(c, u, l) - 1e-15
 
     def test_dilation_norms_match_full_spectral_norm(self, rng):
         for make in (random_hermitian_in_window, _complex_hermitian_in_window):

@@ -72,6 +72,32 @@ class TestDatasetsIO:
         with pytest.raises(ValueError, match="non-numeric"):
             datasets.load_dataset_csv(path)
 
+    def test_errors_name_the_file_line(self, tmp_path):
+        # blank lines count, so the bad cell is reported on its own line
+        path = str(tmp_path / "t.csv")
+        with open(path, "w") as fh:
+            fh.write("f0,f1\n1.0,2.0\n\n,\n3.0,4.0\n5.0,oops\n")
+        with pytest.raises(ValueError, match=r"t\.csv:6: non-numeric"):
+            datasets.load_dataset_csv(path)
+        with open(path, "w") as fh:
+            fh.write("\n1.0,2.0\n\n3.5\n")
+        with pytest.raises(ValueError, match=r"t\.csv:4: expected 2 columns"):
+            datasets.load_dataset_csv(path)
+
+    @pytest.mark.parametrize("label", ["0.7", "1.9", "nan", "inf", "-inf"])
+    def test_non_integer_label_rejected(self, tmp_path, label):
+        path = str(tmp_path / "t.csv")
+        with open(path, "w") as fh:
+            fh.write(f"f0,label\n1.0,0\n\n2.0,{label}\n")
+        with pytest.raises(ValueError, match=rf"t\.csv:4: label '{label}' is not an integer"):
+            datasets.load_dataset_csv(path)
+
+    def test_integer_valued_labels_accepted(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        with open(path, "w") as fh:
+            fh.write("f0,label\n1.0,1.0\n2.0,-0\n")
+        assert datasets.load_dataset_csv(path).labels.tolist() == [1, 0]
+
     def test_ring_generator(self):
         ds = datasets.synth_ring(12, 4, classes=3, seed=1)
         assert ds.X.shape == (12, 4)
@@ -148,6 +174,13 @@ class TestCliCommands:
         with open(path, "w") as fh:
             fh.write("1.0,2.0\n3.5\n")
         assert main(["classical", path, "--out-dir", str(tmp_path)]) == 2
+
+    def test_fractional_label_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "frac.csv")
+        with open(path, "w") as fh:
+            fh.write("f0,f1,label\n1.0,2.0,0\n3.5,4.5,0.7\n")
+        assert main(["classical", path, "--out-dir", str(tmp_path)]) == 2
+        assert "frac.csv:3: label '0.7' is not an integer" in capsys.readouterr().err
 
     def test_invalid_enum_exit_2(self, tmp_path):
         path = self.synth(tmp_path)

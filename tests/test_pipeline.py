@@ -71,9 +71,14 @@ class TestBuildOnce:
 @pytest.fixture
 def verification(monkeypatch):
     """Record the shape of every matrix whose spectral norm the block-encoding
-    layer takes, and count eigensolver and SVD calls made inside a leaf defect."""
-    record = {"shapes": [], "leaf_eigensolves": 0, "leaves": 0}
+    layer takes, the width of every matrix an eigensolver or SVD sees while a
+    block-encoding constructor runs, the eigensolver and SVD calls made inside
+    a leaf defect, and the solver calls of each dense encoding."""
+    record = {"shapes": [], "leaf_eigensolves": 0, "leaves": 0, "solver_widths": [],
+              "dense": []}
+    depth = [0]
     in_leaf = [False]
+    in_dense = [False]
     spectral_norm = block_encoding.spectral_norm
 
     def norm(m):
@@ -82,22 +87,58 @@ def verification(monkeypatch):
 
     leaf_defect = block_encoding._leaf_defect
 
-    def leaf(c, s):
+    def leaf(*blocks):
         record["leaves"] += 1
         in_leaf[0] = True
         try:
-            return leaf_defect(c, s)
+            return leaf_defect(*blocks)
         finally:
             in_leaf[0] = False
+
+    def solve(name, m):
+        record["leaf_eigensolves"] += in_leaf[0]
+        if depth[0]:
+            record["solver_widths"].append(max(np.shape(m)))
+        if in_dense[0]:
+            record["dense"][-1][name] += 1
 
     for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd"):
         solver = getattr(np.linalg, name)
 
-        def counted(*args, _solver=solver, **kwargs):
-            record["leaf_eigensolves"] += in_leaf[0]
-            return _solver(*args, **kwargs)
+        def counted(m, *args, _solver=solver, _name=name, **kwargs):
+            solve(_name, m)
+            return _solver(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+
+    matrix_norm = np.linalg.norm
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        # a spectral or nuclear matrix norm is an SVD
+        if ord in (2, -2, "nuc"):
+            solve("svd", x)
+        return matrix_norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+
+    def constructor(name):
+        build = getattr(block_encoding, name)
+
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            if name == "block_encode_dense":
+                record["dense"].append(collections.Counter())
+                in_dense[0] = True
+            try:
+                return build(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+                in_dense[0] = False
+
+        monkeypatch.setattr(block_encoding, name, wrapper)
+
+    for name in ("block_encode_dense", "be_exp", "be_product", "be_hermitian_dilation"):
+        constructor(name)
     monkeypatch.setattr(block_encoding, "spectral_norm", norm)
     monkeypatch.setattr(block_encoding, "_leaf_defect", leaf)
     return record
@@ -114,6 +155,11 @@ class TestVerificationAtSystemSize:
         assert max(max(shape) for shape in verification["shapes"]) <= problem.dim
         assert verification["leaves"] > 0
         assert verification["leaf_eigensolves"] == 0
+        # every eigensolver and SVD of the encoding layer works at system size
+        assert verification["solver_widths"]
+        assert max(verification["solver_widths"]) <= problem.dim
+        # a dense encoding makes one SVD and no eigensolver
+        assert verification["dense"] == [{"svd": 1}, {"svd": 1}]
 
     def test_step1_charge_is_the_resource_formula(self):
         ds = datasets.synth_blobs(32, 16, 2, seed=0)
