@@ -34,9 +34,9 @@ def _out_dir(args) -> str:
 
 
 def _dump_json(doc: dict, path: str) -> None:
+    # one write: json.dump would stream thousands of small writes
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _write_table(path: str, table: np.ndarray, header: list[str]) -> None:

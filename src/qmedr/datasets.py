@@ -58,7 +58,8 @@ def save_dataset_csv(ds: Dataset, path: str) -> None:
 def load_dataset_csv(path: str, with_labels: bool | None = None) -> Dataset:
     """Read a dataset; label column detected from the header unless forced.
 
-    Errors name the file line (``path:line``); a label must be a finite integer.
+    Errors name the file line (``path:line``); features must be finite and a
+    label a finite integer.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -96,7 +97,11 @@ def load_dataset_csv(path: str, with_labels: bool | None = None) -> Dataset:
             labels.append(int(vals[-1]))
         else:
             data.append(vals)
+    x = np.array(data)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}:{rows[int(np.argmin(finite))][0]}: non-finite entry")
     return Dataset(
-        X=np.array(data),
+        X=x,
         labels=np.array(labels, dtype=int) if has_labels else None,
     )

@@ -131,47 +131,137 @@ def pairwise_sq_distances(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nearest_neighbors(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances with an infinite diagonal, and each row's k nearest others."""
+def _exact_sq_distances(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Squared distances of the pairs (rows[i], cols[i]), with the bits of pairwise_sq_distances."""
+    step = max(1, _DIFF_BLOCK_BYTES // (8 * x.shape[1]))
+    out = np.empty(rows.size)
+    for s0 in range(0, rows.size, step):
+        diff = x[rows[s0 : s0 + step]] - x[cols[s0 : s0 + step]]
+        out[s0 : s0 + step] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
+def _screen_margins(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared row norms, and per-row bounds M_i on |screen - exact| over row i.
+
+    The Gram screen |x_i|^2 + |x_j|^2 - 2 x_i.x_j and the einsum distance each
+    lie within gamma_{F+2} (|x_i| + |x_j|)^2 of the true squared distance
+    (relative rounding), plus a few units of the smallest subnormal per
+    product (underflow). M_i doubles both terms and takes |x_j| at its
+    maximum. It is infinite where (2 (|x_i| + max|x|))^2 overflows, so a
+    finite M_i means no step of row i's screen or exact distances overflows.
+    """
+    f = x.shape[1]
+    sq = np.einsum("ij,ij->i", x, x)
+    norms = np.sqrt(sq)
+    gamma = (f + 4) * 2.0**-53 / (1.0 - (f + 4) * 2.0**-53)
+    with np.errstate(over="ignore"):
+        margins = gamma * (2.0 * (norms + norms.max())) ** 2 + (f + 4) * 2.0**-1072
+    return sq, margins
+
+
+def _nearest_neighbors(x: np.ndarray, k: int,
+                       upper: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k nearest other rows and their exact squared distances.
+
+    The result is the first k columns of a stable argsort of
+    pairwise_sq_distances with an infinite diagonal, never the row itself,
+    and those distances, but no N x N array is built. Row blocks of _DIFF_BLOCK_BYTES take the
+    Gram screen g_ij = |x_i|^2 + |x_j|^2 - 2 x_i.x_j, which stays within
+    M_i of the exact distance (_screen_margins). Only pairs with
+    g_ij <= (k-th smallest g_i) + 2 M_i can be neighbours; exact distances
+    are computed for these candidates only, and the k smallest by
+    (distance, index) are kept, so ties keep the lower index. A screen or
+    margin that is not finite drops no pair. ``upper``, if given, receives
+    the screen values of the upper triangle in np.triu_indices order.
+    """
     n = x.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
-    d2 = pairwise_sq_distances(x)
-    np.fill_diagonal(d2, np.inf)
-    # the first k columns of a stable argsort, without sorting whole rows:
-    # every entry below the k-th value, then the lowest-index ties at it
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-    below = d2 < kth
-    at = d2 == kth
-    ties_kept = k - below.sum(axis=1, keepdims=True)
-    keep = below | (at & (np.cumsum(at, axis=1) <= ties_kept))
-    cols = np.nonzero(keep)[1].reshape(n, k)
-    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
-    return d2, np.take_along_axis(cols, order, axis=1)
+    sq, margins = _screen_margins(x)
+    nbrs = np.empty((n, k), dtype=np.intp)
+    d2 = np.empty((n, k))
+    cols = np.arange(n)
+    step = max(1, _DIFF_BLOCK_BYTES // (8 * n))
+    for s0 in range(0, n, step):
+        blk = cols[s0 : s0 + step]
+        diag = (blk - s0, blk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = x[blk] @ x.T
+            g *= -2.0
+            g += sq[blk, None]
+            g += sq
+            g[diag] = np.inf
+            kth = np.partition(g, k - 1, axis=1)[:, k - 1]
+            # "not above" rather than "at most": a NaN bound or screen keeps the pair
+            cand = ~(g > (kth + 2.0 * margins[blk])[:, None])
+        cand[diag] = False
+        if upper is not None:
+            for i in blk:
+                start = i * n - i * (i + 1) // 2
+                upper[start : start + n - 1 - i] = g[i - s0, i + 1 :]
+        r, c = np.divmod(np.flatnonzero(cand), n)
+        r += s0
+        exact = _exact_sq_distances(x, r, c)
+        order = np.lexsort((c, exact, r))
+        pick = order[np.searchsorted(r, blk)[:, None] + np.arange(k)]
+        nbrs[blk] = c[pick]
+        d2[blk] = exact[pick]
+    return d2, nbrs
+
+
+def _median_distance(x: np.ndarray, upper: np.ndarray) -> float:
+    """np.median of the distances of all pairs i < j, from their screen values ``upper``.
+
+    The screen gives the values a and b at np.median's middle ranks. With the
+    largest margin M, every pair below a - 2M is exactly nearer than those
+    ranks and every pair above b + 2M farther, so exact distances are
+    computed for the band in between only and the ranks shift down by the
+    count below it.
+    """
+    n = x.shape[0]
+    lo, hi = (upper.size - 1) // 2, upper.size // 2
+    a, b = np.partition(upper, [lo, hi])[[lo, hi]]
+    margin = 2.0 * _screen_margins(x)[1].max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        below = upper < a - margin
+        band = np.flatnonzero(~(below | (upper > b + margin)))
+    shift = int(np.count_nonzero(below))
+    # invert the np.triu_indices order: row i starts at i*n - i*(i+1)/2
+    rows = np.arange(n)
+    starts = rows * n - rows * (rows + 1) // 2
+    i = np.searchsorted(starts, band, side="right") - 1
+    mid = np.arange(lo, hi + 1) - shift
+    exact = np.partition(_exact_sq_distances(x, i, band - starts[i] + i + 1), mid)
+    return float(np.median(np.sqrt(exact[mid])))
 
 
 def knn_graph(ds: Dataset, k: int, sigma: float | None = None) -> SimilarityGraph:
     """Mutual-or k-nearest-neighbor graph with heat-kernel weights.
 
     ``sigma=None`` selects the median pairwise distance. Equidistant neighbor
-    ties keep the lower sample index.
+    ties keep the lower sample index. The neighbour search and the median
+    screen every pair with a Gram bound and compute exact squared distances
+    only for the pairs the bound cannot decide (_nearest_neighbors,
+    _median_distance); the weights need them only on the kept pairs.
     """
     n = ds.n_samples
-    d2, nbrs = _nearest_neighbors(ds.X, k)
+    upper = np.empty(n * (n - 1) // 2) if sigma is None else None
+    d2, nbrs = _nearest_neighbors(ds.X, k, upper)
     if sigma is None:
-        upper = np.sqrt(np.maximum(d2[np.triu_indices(n, 1)], 0.0))
-        sigma = float(np.median(upper))
+        sigma = _median_distance(ds.X, upper)
+        del upper  # N^2/2 floats: free them before the dense S and L
         if sigma <= 0.0:
             raise ValueError("auto sigma is zero: dataset has too many duplicate samples")
-    elif sigma <= 0:
+    elif not sigma > 0:
         raise ValueError("sigma must be positive")
 
-    neighbor = np.zeros((n, n), dtype=bool)
-    neighbor[np.repeat(np.arange(n), k), nbrs.ravel()] = True
-    mutual_or = neighbor | neighbor.T
-
-    s = np.where(mutual_or, np.exp(-d2 / (2.0 * sigma**2)), 0.0)
-    np.fill_diagonal(s, 0.0)
+    rows, cols = np.repeat(np.arange(n), k), nbrs.ravel()
+    weights = np.exp(-d2.ravel() / (2.0 * sigma**2))
+    # exact distances are symmetric to the bit, so both directions share a weight
+    s = np.zeros((n, n))
+    s[rows, cols] = weights
+    s[cols, rows] = weights
     degrees = s.sum(axis=1)
     flags = ()
     if np.any(degrees <= 0):

@@ -62,10 +62,11 @@ class RunConfig:
             raise ConfigError("m must be at least 1")
         if self.k < 1:
             raise ConfigError("k must be at least 1")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
-        if self.kappa_target <= 1:
-            raise ConfigError("kappa-target must exceed 1")
+        # "not above" comparisons, so that a NaN value is rejected too
+        if self.sigma is not None and not self.sigma > 0:
+            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if not self.kappa_target > 1:
+            raise ConfigError(f"kappa-target must exceed 1, got {self.kappa_target}")
         for name in ("eps", "eps_be", "eta"):
             v = getattr(self, name)
             if not 0 < v < 1:

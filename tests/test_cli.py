@@ -92,6 +92,14 @@ class TestDatasetsIO:
         with pytest.raises(ValueError, match=rf"t\.csv:4: label '{label}' is not an integer"):
             datasets.load_dataset_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_rejected(self, tmp_path, cell):
+        path = str(tmp_path / "t.csv")
+        with open(path, "w") as fh:
+            fh.write(f"f0,f1,label\n1.0,2.0,0\n\n3.0,{cell},1\n")
+        with pytest.raises(ValueError, match=r"t\.csv:4: non-finite entry"):
+            datasets.load_dataset_csv(path)
+
     def test_integer_valued_labels_accepted(self, tmp_path):
         path = str(tmp_path / "t.csv")
         with open(path, "w") as fh:
@@ -181,6 +189,33 @@ class TestCliCommands:
             fh.write("f0,f1,label\n1.0,2.0,0\n3.5,4.5,0.7\n")
         assert main(["classical", path, "--out-dir", str(tmp_path)]) == 2
         assert "frac.csv:3: label '0.7' is not an integer" in capsys.readouterr().err
+
+    def test_non_finite_feature_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "nf.csv")
+        with open(path, "w") as fh:
+            fh.write("f0,f1\n1.0,2.0\n3.5,nan\n0.5,1.5\n")
+        assert main(["compare", path, "--out-dir", str(tmp_path)]) == 2
+        assert "nf.csv:3: non-finite entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--kappa-target"])
+    def test_nan_config_value_exit_2_before_any_build(self, tmp_path, monkeypatch, capsys, flag):
+        path = self.synth(tmp_path)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the problem was built before the config was checked")
+
+        monkeypatch.setattr(qmedr.embedding, "build_problem", unreachable)
+        monkeypatch.setattr(qmedr.pipeline, "build_problem", unreachable)
+        assert main(["compare", path, flag, "nan", "--out-dir", str(tmp_path)]) == 2
+        assert f"{flag[2:]} must" in capsys.readouterr().err
+
+    def test_infinite_sigma_accepted(self, tmp_path):
+        # sigma = inf gives LPP's 0/1 weights
+        RunConfig(sigma=float("inf")).validate()
+        path = self.synth(tmp_path)
+        assert main(["graph", path, "--k", "3", "--sigma", "inf", "--out-dir", str(tmp_path)]) == 0
+        graph = qmedr.embedding.knn_graph(datasets.load_dataset_csv(path), 3, float("inf"))
+        assert set(np.unique(graph.S).tolist()) == {0.0, 1.0}
 
     def test_invalid_enum_exit_2(self, tmp_path):
         path = self.synth(tmp_path)

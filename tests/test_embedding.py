@@ -128,9 +128,162 @@ class TestPairwiseDistances:
         # integer grid points: many equal distances, so ties straddle the k-th value
         rng = np.random.default_rng(n)
         x = rng.integers(0, 4, size=(n, 2)).astype(float)
+        d2 = pairwise_sq_distances(x) + np.diag(np.full(n, np.inf))
         for k in sorted({1, min(5, n - 1), max(1, n // 2), n - 1}):
-            d2, nbrs = emb._nearest_neighbors(x, k)
+            _, nbrs = emb._nearest_neighbors(x, k)
             assert np.array_equal(nbrs, np.argsort(d2, axis=1, kind="stable")[:, :k])
+
+
+def dense_knn_graph(x, k, sigma=None):
+    """The all-pairs search the screen replaces: neighbours, their distances, sigma and S."""
+    n = x.shape[0]
+    d2 = pairwise_sq_distances(x) + np.diag(np.full(n, np.inf))
+    nbrs = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    if sigma is None:
+        sigma = float(np.median(np.sqrt(d2[np.triu_indices(n, 1)])))
+    neighbor = np.zeros((n, n), dtype=bool)
+    neighbor[np.repeat(np.arange(n), k), nbrs.ravel()] = True
+    with np.errstate(invalid="ignore"):  # inf / inf on the diagonal when sigma is infinite
+        s = np.where(neighbor | neighbor.T, np.exp(-d2 / (2.0 * sigma**2)), 0.0)
+    return nbrs, np.take_along_axis(d2, nbrs, axis=1), sigma, s
+
+
+def assert_matches_dense_search(x, k, sigma=None):
+    nbrs, d2, ref_sigma, s = dense_knn_graph(x, k, sigma)
+    got_d2, got_nbrs = emb._nearest_neighbors(x, k)
+    assert np.array_equal(got_nbrs, nbrs)
+    assert got_d2.tobytes() == d2.tobytes()
+    graph = knn_graph(Dataset(X=x), k, sigma)
+    assert graph.sigma == ref_sigma
+    assert graph.S.tobytes() == s.tobytes()
+    assert graph.degrees.tobytes() == s.sum(axis=1).tobytes()
+    assert graph.L.tobytes() == (np.diag(s.sum(axis=1)) - s).tobytes()
+
+
+def ks(n):
+    return sorted({1, min(4, n - 1), n - 1})
+
+
+class TestScreenedSearch:
+    """The Gram screen gives the bits of the dense search: neighbours, d2, sigma, S, L."""
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 64, 129])
+    def test_integer_grid_ties(self, n):
+        x = np.random.default_rng(n).integers(0, 3, size=(n, 2)).astype(float)
+        for k in ks(n):
+            if n > 3:
+                assert_matches_dense_search(x, k)
+            assert_matches_dense_search(x, k, sigma=1.0)
+
+    def test_duplicated_rows(self):
+        rng = np.random.default_rng(2)
+        base = rng.normal(size=(9, 5))
+        x = base[rng.integers(0, 9, size=40)]
+        for k in ks(40):
+            assert_matches_dense_search(x, k)
+            assert_matches_dense_search(x, k, sigma=0.7)
+
+    def test_duplicates_past_the_median_zero_sigma(self):
+        # more than half of all pairs coincide: the median distance is zero
+        x = np.vstack([np.zeros((12, 3)), np.ones((2, 3))])
+        assert float(np.median(np.sqrt(pairwise_sq_distances(x)[np.triu_indices(14, 1)]))) == 0.0
+        with pytest.raises(ValueError, match="auto sigma is zero"):
+            knn_graph(Dataset(X=x), 3)
+        assert_matches_dense_search(x, 3, sigma=1.0)
+
+    @pytest.mark.parametrize("data", [
+        # 50 +- 1e-3: the Gram form cancels all but ~7 digits of |x|^2
+        lambda rng: 50.0 + 1e-3 * rng.normal(size=(70, 4)),
+        # a 0.1-step grid at 1e3: distances tie to ~1e-13 and the screen, off
+        # by ~1e-8, cannot order them, so the margin decides the candidates
+        lambda rng: 1e3 + 0.1 * rng.integers(0, 4, size=(70, 4)),
+        # squares in the subnormal range: only the underflow term covers them
+        lambda rng: 1e-161 * rng.normal(size=(70, 4)),
+        lambda rng: 1e-160 * rng.normal(size=(70, 4)),
+        lambda rng: 1e150 * rng.normal(size=(70, 4)),
+    ], ids=["offset", "offset-grid", "tiny", "small", "large"])
+    def test_offset_and_extreme_magnitudes(self, data):
+        x = data(np.random.default_rng(3))
+        for k in ks(70):
+            assert_matches_dense_search(x, k)
+
+    def test_squares_that_overflow_keep_every_pair(self):
+        # |x|^2 overflows at 1e160 while the differences stay finite, so the
+        # screen is not finite and every pair goes to the exact distance
+        rng = np.random.default_rng(4)
+        x = 1e160 + 1e150 * rng.normal(size=(30, 3))
+        with np.errstate(over="ignore"):  # Dataset's row norms overflow too
+            assert not np.isfinite(np.einsum("ij,ij->i", x, x)).any()
+            for k in ks(30):
+                assert_matches_dense_search(x, k)
+
+    def test_one_overflowing_row(self):
+        # the last row is 1e160 away from the rest; it is nobody's neighbour
+        x = np.random.default_rng(5).normal(size=(25, 3))
+        x[-1] = 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (1, 4, 23):
+                assert_matches_dense_search(x, k)
+
+    def test_no_sample_is_its_own_neighbor_when_distances_overflow(self):
+        # every squared distance is inf, so every pair ties: the lower indices
+        # are kept, but never the sample itself
+        x = 1e160 * np.random.default_rng(6).normal(size=(6, 3))
+        with np.errstate(over="ignore"):
+            d2, nbrs = emb._nearest_neighbors(x, 5)
+        assert np.isinf(d2).all()
+        assert nbrs.tolist() == [[j for j in range(6) if j != i] for i in range(6)]
+
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            knn_graph(make_blobs(seed=6, n=10, m=4), 3, float("nan"))
+
+    def test_infinite_sigma_keeps_zero_one_weights(self):
+        x = make_blobs(seed=6, n=30, m=4).X
+        assert_matches_dense_search(x, 4, sigma=float("inf"))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 31])
+    def test_small_blocks(self, monkeypatch, rows, n):
+        # every path across row blocks; N(N-1)/2 is odd at n = 2, 3, 10, 31
+        # (one middle rank for the median) and even at n = 4, 5 (two)
+        rng = np.random.default_rng(n)
+        monkeypatch.setattr(emb, "_DIFF_BLOCK_BYTES", rows * 8 * n)
+        for x in (rng.normal(size=(n, 3)), rng.integers(0, 2, size=(n, 2)).astype(float),
+                  50.0 + 1e-3 * rng.normal(size=(n, 3))):
+            for k in ks(n):
+                if float(np.median(pairwise_sq_distances(x)[np.triu_indices(n, 1)])) > 0:
+                    assert_matches_dense_search(x, k)
+                assert_matches_dense_search(x, k, sigma=1.0)
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_multi_block_1024(self, grid):
+        rng = np.random.default_rng(1024)
+        x = rng.integers(0, 8, size=(1024, 2)).astype(float) if grid else rng.normal(size=(1024, 16))
+        assert_matches_dense_search(x, 5)
+
+    def test_multi_block_4096_neighbors_and_sigma(self):
+        # the dense S and L are left out here: each would be another 128 MiB
+        n = 4096
+        x = np.random.default_rng(n).integers(0, 8, size=(n, 2)).astype(float)
+        d2 = pairwise_sq_distances(x) + np.diag(np.full(n, np.inf))
+        upper = np.empty(n * (n - 1) // 2)
+        got_d2, got_nbrs = emb._nearest_neighbors(x, 5, upper)
+        nbrs = np.argsort(d2, axis=1, kind="stable")[:, :5]
+        assert np.array_equal(got_nbrs, nbrs)
+        assert got_d2.tobytes() == np.take_along_axis(d2, nbrs, axis=1).tobytes()
+        assert emb._median_distance(x, upper) == float(np.median(np.sqrt(d2[np.triu_indices(n, 1)])))
+
+    def test_neighbor_search_builds_no_square_array(self):
+        # one N x N float array would be 32 MiB at N = 2048
+        x = synth_blobs(2048, 16, 2, seed=0).X
+        tracemalloc.start()
+        try:
+            emb._nearest_neighbors(x, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 * 2048 * 8
 
 
 class TestPrecondition:

@@ -20,7 +20,9 @@ change that moves a field in its last bits is then stated field by field.
 Corpus: ``synth_blobs`` data with two classes and seed 0 at
 (N, F) in {(32, 16), (64, 32), (128, 64), (40, 12)} x the four variants x
 {deterministic, sampled} x ``--analog`` on and off; sampled mode at
-(128, 64) runs for ELPP only.
+(128, 64) runs for ELPP only. (1024, 16) runs the four variants in
+deterministic mode with ``--analog`` only: its neighbour search crosses
+several row blocks, where the smaller shapes fit in one. 62 configs in all.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-SHAPES = ((32, 16), (64, 32), (128, 64), (40, 12))
+SHAPES = ((32, 16), (64, 32), (128, 64), (40, 12), (1024, 16))
 VARIANTS = ("ELPP", "EUDP", "ENPE", "EDA")
 MODES = ("deterministic", "sampled")
 COMMANDS = ("compare", "graph", "classical", "quantum-sim")
@@ -45,6 +47,9 @@ OUTPUTS = ("report.json", "compare.csv", "graph.json", "classical.json", "y_clas
 def corpus():
     for n, f in SHAPES:
         for variant in VARIANTS:
+            if (n, f) == (1024, 16):
+                yield n, f, variant, "deterministic", True
+                continue
             for mode in MODES:
                 if mode == "sampled" and (n, f) == (128, 64) and variant != "ELPP":
                     continue
