@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .embedding import Dataset, MedrProblem, VARIANT_DIRECTIONS
-from .linalg import expm, frobenius_norm, hermitian_eig
+from .linalg import _fix_vector_signs, expm, frobenius_norm, hermitian_eig
 
 SYMMETRY_THRESHOLD = 1e-8
 DEGENERATE_GAP = 1e-12
@@ -55,16 +55,6 @@ class CompressedOutput:
     solution: EigenSolution | None = None
 
 
-def _first_component_signs(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = np.argmax(np.abs(col) > 1e-12)
-        if col[idx] < 0:
-            out[:, j] = -col
-    return out
-
-
 def apply_dataset_signs(sol: EigenSolution, x: np.ndarray) -> EigenSolution:
     """Flip each column so the projected column sums are nonnegative.
 
@@ -85,7 +75,7 @@ def apply_dataset_signs(sol: EigenSolution, x: np.ndarray) -> EigenSolution:
             if weighted < 0:
                 w[:, j] = -w[:, j]
             continue
-        w[:, j : j + 1] = _first_component_signs(w[:, j : j + 1])
+        w[:, j : j + 1] = _fix_vector_signs(w[:, j : j + 1])
     return replace(sol, eigenvectors=w, sign_convention="dataset-sum")
 
 
@@ -145,7 +135,7 @@ def solve_medr(p: MedrProblem, m: int) -> EigenSolution:
     degenerate = bool(boundary < DEGENERATE_GAP)
 
     chosen_vals = values[sel]
-    chosen_vecs = _first_component_signs(np.real_if_close(vectors[:, sel]).astype(float))
+    chosen_vecs = _fix_vector_signs(np.real_if_close(vectors[:, sel]).astype(float))
     return EigenSolution(
         eigenvalues=chosen_vals,
         eigenvectors=chosen_vecs,

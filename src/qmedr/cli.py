@@ -47,14 +47,14 @@ def _write_table(path: str, table: np.ndarray, header: list[str]) -> None:
 
 
 def _write_tidy_compare(path: str, y_classical, y_quantum) -> None:
-    yc = np.asarray(y_classical)
-    yq = np.asarray(y_quantum)
+    # tolist() gives Python floats, whose repr is that of float(np.float64)
+    yc = np.asarray(y_classical, dtype=float).tolist()
+    yq = np.asarray(y_quantum, dtype=float).tolist()
+    lines = [f"{i},{j},{a!r},{b!r},{abs(a - b)!r}\n"
+             for i, (row_c, row_q) in enumerate(zip(yc, yq))
+             for j, (a, b) in enumerate(zip(row_c, row_q))]
     with open(path, "w") as fh:
-        fh.write("i,j,y_classical,y_quantum,abs_error\n")
-        for i in range(yc.shape[0]):
-            for j in range(yc.shape[1]):
-                a, b = float(yc[i, j]), float(yq[i, j])
-                fh.write(f"{i},{j},{a!r},{b!r},{abs(a - b)!r}\n")
+        fh.write("i,j,y_classical,y_quantum,abs_error\n" + "".join(lines))
 
 
 def _config_from_args(args) -> RunConfig:

@@ -1,9 +1,11 @@
 """Data-matrix construction for the four dimensionality-reduction variants.
 
-Builds the similarity graph, its Laplacians, neighborhood-reconstruction
-weights, and scatter matrices, then assembles the (S1, S2) pair for each
-variant and preconditions both matrices into a bounded spectral window so
-the exponential pipeline downstream has the conditioning it assumes.
+Builds the k-nearest-neighbour similarity graph as its edges, the
+neighborhood-reconstruction weights as N x k arrays, and the scatter
+matrices, then assembles the (S1, S2) pair for each variant in closed form
+from those, so memory stays linear in the sample count. Both matrices are
+preconditioned into a bounded spectral window so the exponential pipeline
+downstream has the conditioning it assumes.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import frobenius_norm, hermitian_eig, spectral_norm
+from .linalg import as_square, hermitian_eig, spectral_norm
 
 VARIANTS = ("ELPP", "EUDP", "ENPE", "EDA")
 
@@ -39,7 +41,7 @@ class Dataset:
         if not np.all(np.isfinite(x)):
             raise ValueError("X contains non-finite entries")
         object.__setattr__(self, "X", x)
-        object.__setattr__(self, "row_norms", np.linalg.norm(x, axis=1))
+        object.__setattr__(self, "row_norms", _row_norms(x))
         if self.labels is not None:
             lab = np.asarray(self.labels, dtype=int)
             if lab.shape != (x.shape[0],):
@@ -59,17 +61,31 @@ class Dataset:
         return self.X / norms[:, None]
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean row norms; a row whose squares overflow or underflow to zero is scaled by its max |entry|."""
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    bad = ~np.isfinite(norms) | ((norms == 0) & x.any(axis=1))
+    if bad.any():
+        scale = np.abs(x[bad]).max(axis=1)
+        norms[bad] = scale * np.linalg.norm(x[bad] / scale[:, None], axis=1)
+    return norms
+
+
 @dataclass(frozen=True)
 class SimilarityGraph:
-    """Heat-kernel similarity over mutual k-nearest neighbors.
+    """Heat-kernel similarity over mutual k-nearest neighbors, held as its edges.
 
-    ``S`` is symmetric with zero diagonal and entries in [0, 1]; ``degrees``
-    is the diagonal of the degree matrix D and ``L = D - S`` the (PSD) Laplacian.
+    Edge e joins samples ``a[e] < b[e]`` with weight ``w[e]`` in [0, 1]; each
+    neighbour pair appears once, in (a, b) order, and every other pair has
+    similarity 0. ``degrees`` is the diagonal of the degree matrix D, so the
+    (PSD) Laplacian is L = D - S. Nothing here is N x N: at most N k edges.
     """
 
-    S: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    w: np.ndarray
     degrees: np.ndarray
-    L: np.ndarray
     k: int
     sigma: float
     flags: tuple = ()
@@ -160,8 +176,32 @@ def _screen_margins(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sq, margins
 
 
-def _nearest_neighbors(x: np.ndarray, k: int,
-                       upper: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _screen_block(x: np.ndarray, sq: np.ndarray, blk: np.ndarray, start: int = 0) -> np.ndarray:
+    """Gram screen |x_i|^2 + |x_j|^2 - 2 x_i.x_j of the rows blk against the rows from ``start``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x[blk] @ x[start:].T
+        g *= -2.0
+        g += sq[blk, None]
+        g += sq[start:]
+    return g
+
+
+_KEY_BINS = 1 << 16
+
+
+def _sort_keys(v: np.ndarray) -> np.ndarray:
+    """int64 keys in the order of the float64 values v; the map is its own inverse."""
+    bits = np.ascontiguousarray(v, dtype=float).view(np.int64)
+    return bits ^ ((bits >> 63) & np.int64(0x7FFFFFFFFFFFFFFF))
+
+
+def _key_value(key: int) -> float:
+    """The float64 whose sort key is ``key``, capped at +inf."""
+    key = min(key, 0x7FF0000000000000)
+    return float(_sort_keys(np.array([key], dtype=np.int64).view(float)).view(float)[0])
+
+
+def _nearest_neighbors(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k nearest other rows and their exact squared distances.
 
     The result is the first k columns of a stable argsort of
@@ -172,8 +212,7 @@ def _nearest_neighbors(x: np.ndarray, k: int,
     g_ij <= (k-th smallest g_i) + 2 M_i can be neighbours; exact distances
     are computed for these candidates only, and the k smallest by
     (distance, index) are kept, so ties keep the lower index. A screen or
-    margin that is not finite drops no pair. ``upper``, if given, receives
-    the screen values of the upper triangle in np.triu_indices order.
+    margin that is not finite drops no pair.
     """
     n = x.shape[0]
     if not 1 <= k < n:
@@ -186,20 +225,13 @@ def _nearest_neighbors(x: np.ndarray, k: int,
     for s0 in range(0, n, step):
         blk = cols[s0 : s0 + step]
         diag = (blk - s0, blk)
+        g = _screen_block(x, sq, blk)
+        g[diag] = np.inf
+        kth = np.partition(g, k - 1, axis=1)[:, k - 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            g = x[blk] @ x.T
-            g *= -2.0
-            g += sq[blk, None]
-            g += sq
-            g[diag] = np.inf
-            kth = np.partition(g, k - 1, axis=1)[:, k - 1]
             # "not above" rather than "at most": a NaN bound or screen keeps the pair
             cand = ~(g > (kth + 2.0 * margins[blk])[:, None])
         cand[diag] = False
-        if upper is not None:
-            for i in blk:
-                start = i * n - i * (i + 1) // 2
-                upper[start : start + n - 1 - i] = g[i - s0, i + 1 :]
         r, c = np.divmod(np.flatnonzero(cand), n)
         r += s0
         exact = _exact_sq_distances(x, r, c)
@@ -210,30 +242,97 @@ def _nearest_neighbors(x: np.ndarray, k: int,
     return d2, nbrs
 
 
-def _median_distance(x: np.ndarray, upper: np.ndarray) -> float:
-    """np.median of the distances of all pairs i < j, from their screen values ``upper``.
+def _upper_blocks(x: np.ndarray, screen: bool):
+    """Yield (s0, upper, values) over row blocks of about _DIFF_BLOCK_BYTES.
 
-    The screen gives the values a and b at np.median's middle ranks. With the
-    largest margin M, every pair below a - 2M is exactly nearer than those
-    ranks and every pair above b + 2M farther, so exact distances are
-    computed for the band in between only and the ranks shift down by the
-    count below it.
+    ``values[r, c]`` belongs to the pair (s0 + r, s0 + 1 + c), and ``upper``
+    marks the pairs i < j among them. The values are the Gram screen, or with
+    ``screen`` false the exact squared distances of pairwise_sq_distances.
+    """
+    n, f = x.shape
+    sq = np.einsum("ij,ij->i", x, x)
+    step = max(1, _DIFF_BLOCK_BYTES // (8 * n * (1 if screen else f)))
+    for s0 in range(0, n - 1, step):
+        blk = np.arange(s0, min(n, s0 + step))
+        if screen:
+            vals = _screen_block(x, sq, blk, s0 + 1)
+        else:
+            diff = x[blk, None, :] - x[None, s0 + 1 :, :]
+            vals = np.einsum("ijk,ijk->ij", diff, diff)
+        yield s0, np.triu(np.ones(vals.shape, dtype=bool)), vals
+
+
+# the median holds at most this many pair values or band pairs at once
+_BAND_PAIRS = _DIFF_BLOCK_BYTES // 8
+
+
+def _median_bracket(x: np.ndarray, screen: bool, ranks: tuple[int, int],
+                    margin: float) -> tuple[float, float]:
+    """Values t1 <= t2 with at most ranks[0] pair values below t1 and more than ranks[1] up to t2.
+
+    Up to _BAND_PAIRS pairs in all, these are the values at the two ranks.
+    Beyond, a counting pass bins the values by the top 16 bits of their sort
+    keys. If the bins of the two ranks, widened by ``margin``, may hold more
+    than _BAND_PAIRS pairs, a second pass bins the next 16 bits inside those
+    bins.
     """
     n = x.shape[0]
-    lo, hi = (upper.size - 1) // 2, upper.size // 2
-    a, b = np.partition(upper, [lo, hi])[[lo, hi]]
+    if n * (n - 1) // 2 <= _BAND_PAIRS:
+        vals = np.concatenate([v[upper] for _, upper, v in _upper_blocks(x, screen)])
+        t1, t2 = np.partition(vals, ranks)[list(ranks)]
+        return float(t1), float(t2)
+    half = _KEY_BINS // 2
+    top = np.zeros(_KEY_BINS, dtype=np.int64)
+    for _, upper, vals in _upper_blocks(x, screen):
+        top += np.bincount((_sort_keys(vals[upper]) >> 48) + half, minlength=_KEY_BINS)
+    counts = np.concatenate(([0], np.cumsum(top)))
+    bins = [int(np.searchsorted(counts, r, side="right")) - 1 for r in ranks]
+    t1 = _key_value((bins[0] - half) << 48)
+    t2 = _key_value(((bins[1] - half) << 48) | (1 << 48) - 1)
+    first, last = (int(_sort_keys(np.array([t]))[0] >> 48) + half for t in (t1 - margin, t2 + margin))
+    if counts[last + 1] - counts[first] <= _BAND_PAIRS:
+        return t1, t2
+    sub = {b: np.zeros(_KEY_BINS, dtype=np.int64) for b in bins}
+    for _, upper, vals in _upper_blocks(x, screen):
+        keys = _sort_keys(vals[upper])
+        high = (keys >> 48) + half
+        for b, hist in sub.items():
+            hist += np.bincount((keys[high == b] >> 32) & (_KEY_BINS - 1), minlength=_KEY_BINS)
+    prefix = [((b - half) << 16) + int(np.searchsorted(np.cumsum(sub[b]), r - counts[b], side="right"))
+              for r, b in zip(ranks, bins)]
+    return _key_value(prefix[0] << 32), _key_value((prefix[1] << 32) | 0xFFFFFFFF)
+
+
+def _median_distance(x: np.ndarray) -> float:
+    """np.median of the distances of all pairs i < j, with no N x N array.
+
+    The pair values are the Gram screen, within M = max M_i of the exact
+    squared distance (_screen_margins), or, where M is not finite, the exact
+    distances with M = 0. _median_bracket finds values t1 <= t2 around
+    np.median's middle ranks. Every pair below t1 - 2M is exactly nearer than
+    those ranks and every pair above t2 + 2M farther, so a gather pass
+    computes exact distances for the band in between only, and the ranks
+    shift down by the count below it.
+    """
+    n = x.shape[0]
+    size = n * (n - 1) // 2
+    lo, hi = (size - 1) // 2, size // 2
     margin = 2.0 * _screen_margins(x)[1].max()
-    with np.errstate(over="ignore", invalid="ignore"):
-        below = upper < a - margin
-        band = np.flatnonzero(~(below | (upper > b + margin)))
-    shift = int(np.count_nonzero(below))
-    # invert the np.triu_indices order: row i starts at i*n - i*(i+1)/2
-    rows = np.arange(n)
-    starts = rows * n - rows * (rows + 1) // 2
-    i = np.searchsorted(starts, band, side="right") - 1
+    screen = bool(np.isfinite(margin))
+    if not screen:
+        margin = 0.0
+    t1, t2 = _median_bracket(x, screen, (lo, hi), margin)
+    shift = 0
+    rows, cols = [], []
+    for s0, upper, vals in _upper_blocks(x, screen):
+        below = upper & (vals < t1 - margin)
+        r, c = np.nonzero(upper & ~(below | (vals > t2 + margin)))
+        shift += int(np.count_nonzero(below))
+        rows.append(r + s0)
+        cols.append(c + s0 + 1)
     mid = np.arange(lo, hi + 1) - shift
-    exact = np.partition(_exact_sq_distances(x, i, band - starts[i] + i + 1), mid)
-    return float(np.median(np.sqrt(exact[mid])))
+    exact = _exact_sq_distances(x, np.concatenate(rows), np.concatenate(cols))
+    return float(np.median(np.sqrt(np.partition(exact, mid)[mid])))
 
 
 def knn_graph(ds: Dataset, k: int, sigma: float | None = None) -> SimilarityGraph:
@@ -243,30 +342,29 @@ def knn_graph(ds: Dataset, k: int, sigma: float | None = None) -> SimilarityGrap
     ties keep the lower sample index. The neighbour search and the median
     screen every pair with a Gram bound and compute exact squared distances
     only for the pairs the bound cannot decide (_nearest_neighbors,
-    _median_distance); the weights need them only on the kept pairs.
+    _median_distance); the weights need them only on the kept pairs, and the
+    graph keeps only its at most N k edges.
     """
     n = ds.n_samples
-    upper = np.empty(n * (n - 1) // 2) if sigma is None else None
-    d2, nbrs = _nearest_neighbors(ds.X, k, upper)
+    d2, nbrs = _nearest_neighbors(ds.X, k)
     if sigma is None:
-        sigma = _median_distance(ds.X, upper)
-        del upper  # N^2/2 floats: free them before the dense S and L
+        sigma = _median_distance(ds.X)
         if sigma <= 0.0:
             raise ValueError("auto sigma is zero: dataset has too many duplicate samples")
     elif not sigma > 0:
         raise ValueError("sigma must be positive")
 
-    rows, cols = np.repeat(np.arange(n), k), nbrs.ravel()
-    weights = np.exp(-d2.ravel() / (2.0 * sigma**2))
+    rows = np.repeat(np.arange(n), k)
+    cols = nbrs.ravel()
+    pairs, first = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols), return_index=True)
+    a, b = np.divmod(pairs, n)
     # exact distances are symmetric to the bit, so both directions share a weight
-    s = np.zeros((n, n))
-    s[rows, cols] = weights
-    s[cols, rows] = weights
-    degrees = s.sum(axis=1)
+    w = np.exp(-d2.ravel()[first] / (2.0 * sigma**2))
+    degrees = np.bincount(a, w, n) + np.bincount(b, w, n)
     flags = ()
     if np.any(degrees <= 0):
         flags = ("disconnected_vertex",)
-    return SimilarityGraph(S=s, degrees=degrees, L=np.diag(degrees) - s, k=k, sigma=sigma, flags=flags)
+    return SimilarityGraph(a=a, b=b, w=w, degrees=degrees, k=k, sigma=sigma, flags=flags)
 
 
 def precondition(raw: np.ndarray, kappa_target: float = DEFAULT_KAPPA):
@@ -279,8 +377,9 @@ def precondition(raw: np.ndarray, kappa_target: float = DEFAULT_KAPPA):
     if kappa_target <= 1.0:
         raise ValueError("kappa_target must exceed 1")
     sym = (raw + raw.T) / 2.0
-    spec = hermitian_eig(sym)
-    lmin, lmax = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
+    # only the extremes are read, so no eigenvectors are formed
+    spec = np.linalg.eigvalsh(as_square(sym))
+    lmin, lmax = float(spec[0]), float(spec[-1])
     smax = max(abs(lmin), abs(lmax))
     flags: list[str] = []
     if smax <= 1e-12:
@@ -311,7 +410,7 @@ def _pad_raw(raw: np.ndarray, pad_to: int, at_top: bool) -> np.ndarray:
     dim = sym.shape[0]
     if pad_to <= dim:
         return sym
-    value = float(hermitian_eig(sym).eigenvalues[-1]) if at_top else 0.0
+    value = float(np.linalg.eigvalsh(as_square(sym))[-1]) if at_top else 0.0
     if value < 0:
         value = 0.0
     out = np.zeros((pad_to, pad_to))
@@ -343,6 +442,16 @@ def _assemble(variant, s1_raw, s2_raw, kappa_target, extra_flags=(), pad_to=None
     )
 
 
+def _laplacian_form(x: np.ndarray, graph: SimilarityGraph) -> tuple[np.ndarray, np.ndarray]:
+    """X^T L X = sum_e w_e d_e d_e^T over the edges, d_e = x_a - x_b, and the differences d.
+
+    This equals X^T D X - X^T S X; the sum over edges takes no difference
+    between those two, so it keeps its accuracy where they nearly cancel.
+    """
+    d = x[graph.a] - x[graph.b]
+    return (d.T * graph.w) @ d, d
+
+
 def build_elpp(ds: Dataset, graph: SimilarityGraph, kappa_target: float = DEFAULT_KAPPA,
                pad_to: int | None = None) -> MedrProblem:
     """Locality-preserving pair: S1 = X^T L X, S2 = X^T D X."""
@@ -352,37 +461,50 @@ def build_elpp(ds: Dataset, graph: SimilarityGraph, kappa_target: float = DEFAUL
         flags.append("degenerate_degree_matrix")
     # C order keeps the BLAS kernel, and so every bit, of x.T @ D @ x
     s2 = np.multiply(x.T, graph.degrees, order="C") @ x
-    return _assemble("ELPP", x.T @ graph.L @ x, s2, kappa_target, flags, pad_to)
-
-
-def complement_graph(graph: SimilarityGraph) -> SimilarityGraph:
-    """Dissimilarity companion: S'_ij = 1 - S_ij off the diagonal."""
-    s_c = 1.0 - graph.S
-    np.fill_diagonal(s_c, 0.0)
-    deg = s_c.sum(axis=1)
-    flags = ()
-    if np.all(np.abs(s_c) < 1e-15):
-        flags = ("degenerate_complement_graph",)
-    return SimilarityGraph(S=s_c, degrees=deg, L=np.diag(deg) - s_c, k=graph.k, sigma=graph.sigma, flags=flags)
+    return _assemble("ELPP", _laplacian_form(x, graph)[0], s2, kappa_target, flags, pad_to)
 
 
 def build_eudp(ds: Dataset, graph: SimilarityGraph, kappa_target: float = DEFAULT_KAPPA,
                pad_to: int | None = None) -> MedrProblem:
-    """Discriminant-projection pair: S1 = X^T L X, S2 = X^T L' X over the complement graph."""
+    """Discriminant-projection pair: S1 = X^T L X, S2 = X^T L' X over the complement graph.
+
+    The complement has S'_ij = 1 - S_ij off the diagonal, so it is never
+    built. Its quadratic form sums (1 - S_ij) d d^T over all pairs: the
+    pairs off the graph give N Xc^T Xc (Xc the centred samples) less the
+    edges' sum d^T d, which is zero outright for a complete graph, and the
+    edges add d^T (1 - w) d. This is X^T diag(N - 1 - deg) X - X^T S' X with
+    X^T S' X = (sum x)(sum x)^T - X^T X - X^T S X. Its Frobenius norm has the
+    closed form |L'|_F^2 = sum_i deg'_i^2 + (N(N-1) - 2E) + 2 sum_e (1 - w_e)^2
+    for E edges, with deg'_i = (N - 1 - m_i) + sum_{e at i} (1 - w_e) and
+    m_i the edge count at i.
+    """
     x = ds.X
-    comp = complement_graph(graph)
-    flags = list(graph.flags) + list(comp.flags)
-    problem = _assemble("EUDP", x.T @ graph.L @ x, x.T @ comp.L @ x, kappa_target, flags, pad_to)
-    return replace(problem, complement_fro=frobenius_norm(comp.L))
+    n = ds.n_samples
+    flags = list(graph.flags)
+    s1, d = _laplacian_form(x, graph)
+    gap = 1.0 - graph.w
+    complete = graph.w.size == n * (n - 1) // 2
+    if complete and np.all(np.abs(gap) < 1e-15):
+        flags.append("degenerate_complement_graph")
+    s2 = (d.T * gap) @ d
+    if not complete:
+        xc = x - x.mean(axis=0)
+        s2 += n * (xc.T @ xc) - d.T @ d
+    edges_at = np.bincount(graph.a, minlength=n) + np.bincount(graph.b, minlength=n)
+    deg_c = (n - 1 - edges_at) + (np.bincount(graph.a, gap, n) + np.bincount(graph.b, gap, n))
+    fro2 = float(deg_c @ deg_c) + (n * (n - 1) - 2 * graph.w.size) + 2.0 * float(gap @ gap)
+    problem = _assemble("EUDP", s1, s2, kappa_target, flags, pad_to)
+    return replace(problem, complement_fro=float(np.sqrt(fro2)))
 
 
-def npe_weights(ds: Dataset, k: int) -> np.ndarray:
-    """Row-stochastic neighborhood reconstruction weights.
+def npe_weights(ds: Dataset, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-stochastic neighborhood reconstruction weights, as N x k (neighbors, weights).
 
-    Each row solves the constrained least-squares reconstruction of a sample
-    from its k nearest neighbors through the Tikhonov-regularized local Gram
-    matrix; weights sum to one and vanish outside the neighborhood. All N
-    k x k systems go through one batched solve.
+    Row i of W has ``weights[i]`` at the columns ``neighbors[i]`` and vanishes
+    elsewhere. Each row solves the constrained least-squares reconstruction
+    of a sample from its k nearest neighbors through the Tikhonov-regularized
+    local Gram matrix; weights sum to one. All N k x k systems go through one
+    batched solve.
     """
     n = ds.n_samples
     _, neighbors = _nearest_neighbors(ds.X, k)
@@ -396,17 +518,20 @@ def npe_weights(ds: Dataset, k: int) -> np.ndarray:
     total = sol.sum(axis=1)
     bad = ~(np.isfinite(total) & (np.abs(total) > 0))
     assert not bad.any(), f"degenerate reconstruction at sample {int(np.argmax(bad))}"
-    w = np.zeros((n, n))
-    w[np.arange(n)[:, None], neighbors] = sol / total[:, None]
-    return w
+    return neighbors, sol / total[:, None]
 
 
-def build_enpe(ds: Dataset, weights: np.ndarray, kappa_target: float = DEFAULT_KAPPA,
+def build_enpe(ds: Dataset, weights: tuple[np.ndarray, np.ndarray], kappa_target: float = DEFAULT_KAPPA,
                pad_to: int | None = None) -> MedrProblem:
-    """Neighborhood-preserving pair: S1 = X^T W_sym X with W_sym = (W + W^T)/2, S2 = X^T X."""
+    """Neighborhood-preserving pair: S1 = X^T W_sym X with W_sym = (W + W^T)/2, S2 = X^T X.
+
+    ``weights`` is npe_weights' (neighbors, weights); X^T W_sym X is the
+    symmetric part of X^T (W X), and W X takes one N x k x F gather.
+    """
     x = ds.X
-    w_sym = (weights + weights.T) / 2.0
-    return _assemble("ENPE", x.T @ w_sym @ x, x.T @ x, kappa_target, (), pad_to)
+    neighbors, w = weights
+    m = x.T @ np.einsum("ik,ikf->if", w, x[neighbors])
+    return _assemble("ENPE", (m + m.T) / 2.0, x.T @ x, kappa_target, (), pad_to)
 
 
 def scatter_matrices(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -56,14 +56,22 @@ class HermitianSpectrum:
         return (v * self.eigenvalues) @ v.conj().T
 
 
+SIGN_PIVOT_THRESHOLD = 1e-12
+
+
 def _fix_vector_signs(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first component above threshold is positive real."""
+    """Rotate each column so its first component above SIGN_PIVOT_THRESHOLD in magnitude is positive real.
+
+    The columns are unit vectors, so one component is at least 1/sqrt(n). A
+    fixed threshold stays far above the rounding noise of an eigensolver's
+    components, which grows with n; a threshold that shrank with n would
+    approach it.
+    """
     out = v.copy()
-    n = v.shape[0]
-    if n == 0:
+    if v.shape[0] == 0:
         return out
     # a column with no component above threshold pivots on its first entry
-    idx = np.argmax(np.abs(v) > 1e-12 / n, axis=0)
+    idx = np.argmax(np.abs(v) > SIGN_PIVOT_THRESHOLD, axis=0)
     pivot = v[idx, np.arange(v.shape[1])]
     mag = np.abs(pivot)
     turn = mag > 0

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import resources
 from .block_encoding import BlockEncoding, _hermitian_block, _householder_prep
-from .classical import EigenSolution, apply_dataset_signs, _first_component_signs
+from .classical import EigenSolution, apply_dataset_signs
 from .embedding import Dataset
+from .linalg import _fix_vector_signs
 
 ANCHOR_OVERLAP_FLOOR = 1e-6
 
@@ -163,7 +164,7 @@ def simulate_qpe(
     phases_all = (w * t / (2.0 * np.pi)) % 1.0
     if not dilated:
         return PhaseEstimationResult(
-            q1=q1, t=t, eigenvalues=w, eigenvectors=_first_component_signs(v),
+            q1=q1, t=t, eigenvalues=w, eigenvectors=_fix_vector_signs(v),
             phases=phases_all,
         )
 
@@ -184,7 +185,7 @@ def simulate_qpe(
 
     sub = v[half:, positive]
     norms = np.linalg.norm(sub, axis=0)
-    vectors = _first_component_signs(sub / norms)
+    vectors = _fix_vector_signs(sub / norms)
     return PhaseEstimationResult(
         q1=q1, t=t, eigenvalues=w[positive], eigenvectors=vectors,
         phases=phases_all[positive], dilated=True, success_probability=success,

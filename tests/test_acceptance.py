@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs, random_hermitian_in_window
+from dense_reference import edge_similarity, laplacian
 from qmedr import resources
 from qmedr.block_encoding import (
     EXP_NORMALIZATION,
@@ -295,12 +296,13 @@ def test_criterion_10_resource_formulas_and_tally_audit():
 def test_criterion_11_graph_and_scatter_constructions():
     ds = make_blobs(seed=13, n=24, m=8)
     g = knn_graph(ds, k=4)
-    row_sum = float(np.max(np.abs(g.L.sum(axis=1))))
-    min_eig = float(hermitian_eig(g.L).eigenvalues[0])
+    lap = laplacian(edge_similarity(g))
+    row_sum = float(np.max(np.abs(lap.sum(axis=1))))
+    min_eig = float(hermitian_eig(lap).eigenvalues[0])
     assert row_sum <= 1e-10
     assert min_eig >= -1e-9
 
-    w = npe_weights(ds, 4)
+    neighbors, w = npe_weights(ds, 4)
     sums_err = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
     assert sums_err <= 1e-10
     d2 = pairwise_sq_distances(ds.X) + np.diag(np.full(24, np.inf))
@@ -308,7 +310,8 @@ def test_criterion_11_graph_and_scatter_constructions():
     rng = np.random.default_rng(11)
     for i in range(24):
         nbrs = order[i, :4]
-        solved = np.linalg.norm(ds.X[i] - w[i, nbrs] @ ds.X[nbrs])
+        assert np.array_equal(neighbors[i], nbrs)
+        solved = np.linalg.norm(ds.X[i] - w[i] @ ds.X[nbrs])
         for _ in range(100):
             cand = rng.exponential(size=4)
             cand /= cand.sum()

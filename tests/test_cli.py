@@ -10,7 +10,8 @@ import pytest
 
 import qmedr
 from conftest import make_blobs
-from qmedr import datasets
+from dense_reference import dense_knn_graph, edge_similarity
+from qmedr import cli, datasets
 from qmedr.cli import main
 from qmedr.pipeline import ConfigError, RunConfig, full_report
 
@@ -214,8 +215,11 @@ class TestCliCommands:
         RunConfig(sigma=float("inf")).validate()
         path = self.synth(tmp_path)
         assert main(["graph", path, "--k", "3", "--sigma", "inf", "--out-dir", str(tmp_path)]) == 0
-        graph = qmedr.embedding.knn_graph(datasets.load_dataset_csv(path), 3, float("inf"))
-        assert set(np.unique(graph.S).tolist()) == {0.0, 1.0}
+        ds = datasets.load_dataset_csv(path)
+        graph = qmedr.embedding.knn_graph(ds, 3, float("inf"))
+        s = dense_knn_graph(ds.X, 3, float("inf"))[3]
+        assert set(np.unique(s).tolist()) == {0.0, 1.0}
+        assert np.array_equal(edge_similarity(graph), s)
 
     def test_invalid_enum_exit_2(self, tmp_path):
         path = self.synth(tmp_path)
@@ -354,3 +358,38 @@ class TestCliCommands:
         args = ["synth", "blobs", "--n", "8", "--features", "4", "--name", "e.csv"]
         assert main(args) == 0
         assert (tmp_path / "envout" / "e.csv").exists()
+
+
+def _write_tidy_compare_per_entry(path, y_classical, y_quantum):
+    # the per-entry writer that cli._write_tidy_compare replaced
+    yc = np.asarray(y_classical)
+    yq = np.asarray(y_quantum)
+    with open(path, "w") as fh:
+        fh.write("i,j,y_classical,y_quantum,abs_error\n")
+        for i in range(yc.shape[0]):
+            for j in range(yc.shape[1]):
+                a, b = float(yc[i, j]), float(yq[i, j])
+                fh.write(f"{i},{j},{a!r},{b!r},{abs(a - b)!r}\n")
+
+
+class TestTidyCompare:
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (1024, 2)])
+    def test_bytes_match_per_entry_writer(self, tmp_path, shape):
+        rng = np.random.default_rng(shape[0])
+        yc = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        yq = yc + rng.normal(size=shape) * 1e-9
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e308, 0.1]
+        flat_c, flat_q = yc.ravel(), yq.ravel()
+        for i, value in enumerate(special[: flat_c.size]):
+            flat_c[i] = value
+            flat_q[-1 - i] = value
+        cli._write_tidy_compare(str(tmp_path / "new.csv"), yc, yq)
+        _write_tidy_compare_per_entry(str(tmp_path / "old.csv"), yc, yq)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_integer_and_float32_tables(self, tmp_path):
+        yc = np.arange(6).reshape(3, 2)
+        yq = np.linspace(0, 1, 6, dtype=np.float32).reshape(3, 2)
+        cli._write_tidy_compare(str(tmp_path / "new.csv"), yc, yq)
+        _write_tidy_compare_per_entry(str(tmp_path / "old.csv"), yc, yq)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -60,10 +60,9 @@ class TestHermitianEig:
 def _fix_vector_signs_by_column(v):
     # the per-column loop the vectorized rule must reproduce bit for bit
     v = v.copy()
-    n = v.shape[0]
     for j in range(v.shape[1]):
         col = v[:, j]
-        idx = np.argmax(np.abs(col) > 1e-12 / max(n, 1))
+        idx = np.argmax(np.abs(col) > 1e-12)
         pivot = col[idx]
         if np.abs(pivot) > 0:
             v[:, j] = col * (np.conj(pivot) / np.abs(pivot))
@@ -97,6 +96,14 @@ class TestFixVectorSigns:
             got, want = _fix_vector_signs(v), _fix_vector_signs_by_column(v)
             assert got.dtype == want.dtype and got.strides == want.strides
             assert got.tobytes() == want.tobytes()
+
+    def test_pivot_threshold_does_not_shrink_with_dimension(self):
+        # 5e-13 lies above 1e-12 / n but below the fixed threshold, so the
+        # second component sets the sign at every n
+        for n in (2, 8, 1024):
+            v = np.zeros((n, 1))
+            v[0, 0], v[1, 0] = 5e-13, -1.0
+            assert _fix_vector_signs(v)[:2, 0].tolist() == [-5e-13, 1.0]
 
     def test_all_zero_columns_unchanged(self):
         for dtype in (float, complex):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import dense_reference
 from qmedr import block_encoding, classical, datasets, embedding, pipeline, resources
 from qmedr.pipeline import RunConfig, compare_outputs, full_report, quantum_stage, run_classical
 
@@ -39,7 +40,6 @@ def calls(monkeypatch):
         (pipeline, "knn_graph"),
         (embedding, "knn_graph"),
         (embedding, "npe_weights"),
-        (embedding, "complement_graph"),
         (classical, "full_spectrum"),
     ):
         count(module, name)
@@ -56,15 +56,14 @@ class TestBuildOnce:
         assert calls["build_problem"] == 1
         assert calls["knn_graph"] <= 1
         assert calls["npe_weights"] <= 1
-        assert calls["complement_graph"] <= 1
         assert calls["full_spectrum"] == 1
 
     def test_eudp_complement_norm_recorded(self):
         ds = datasets.synth_blobs(32, 16, 2, seed=0)
         graph = embedding.knn_graph(ds, 4)
         problem = embedding.build_eudp(ds, graph)
-        comp = embedding.complement_graph(graph)
-        assert problem.complement_fro == np.linalg.norm(comp.L)
+        _, lap_c, _ = dense_reference.complement(dense_reference.edge_similarity(graph))
+        assert problem.complement_fro == pytest.approx(np.linalg.norm(lap_c), rel=1e-14, abs=0)
         assert embedding.build_elpp(ds, graph).complement_fro is None
 
 

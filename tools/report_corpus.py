@@ -8,7 +8,11 @@ For every config it runs ``qmedr compare``, ``graph``, ``classical`` and
 prints one line: the config, the four exit codes and the sha256 of every
 file those commands write. Run it on two source trees (``--src`` points at a
 tree's ``src`` directory; the default is this repository's) and diff the
-outputs: equal lines mean byte-identical reports.
+outputs: equal lines mean byte-identical reports. ``tools/corpus_digests.txt``
+holds the lines of this tree, made on a 2-core x86-64 host with numpy's
+bundled OpenBLAS (BLAS kernels can move last bits between hosts). A change
+that keeps reports byte-identical leaves it as it is. A change that moves
+them on purpose replaces it and records the ``--diff`` in ``CHANGES.md``.
 
 ``--keep DIR`` writes the datasets and every config's output directory under
 DIR instead of a temporary directory. ``--diff A B`` compares two such
