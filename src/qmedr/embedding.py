@@ -242,15 +242,15 @@ def _nearest_neighbors(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return d2, nbrs
 
 
-def _upper_blocks(x: np.ndarray, screen: bool):
+def _upper_blocks(x: np.ndarray, sq: np.ndarray, screen: bool):
     """Yield (s0, upper, values) over row blocks of about _DIFF_BLOCK_BYTES.
 
     ``values[r, c]`` belongs to the pair (s0 + r, s0 + 1 + c), and ``upper``
-    marks the pairs i < j among them. The values are the Gram screen, or with
-    ``screen`` false the exact squared distances of pairwise_sq_distances.
+    marks the pairs i < j among them. The values are the Gram screen over the
+    squared row norms ``sq``, or with ``screen`` false the exact squared
+    distances of pairwise_sq_distances.
     """
     n, f = x.shape
-    sq = np.einsum("ij,ij->i", x, x)
     step = max(1, _DIFF_BLOCK_BYTES // (8 * n * (1 if screen else f)))
     for s0 in range(0, n - 1, step):
         blk = np.arange(s0, min(n, s0 + step))
@@ -262,28 +262,21 @@ def _upper_blocks(x: np.ndarray, screen: bool):
         yield s0, np.triu(np.ones(vals.shape, dtype=bool)), vals
 
 
-# the median holds at most this many pair values or band pairs at once
+# the median gathers at most this many band pairs at once
 _BAND_PAIRS = _DIFF_BLOCK_BYTES // 8
 
 
-def _median_bracket(x: np.ndarray, screen: bool, ranks: tuple[int, int],
+def _median_bracket(x: np.ndarray, sq: np.ndarray, screen: bool, ranks: tuple[int, int],
                     margin: float) -> tuple[float, float]:
     """Values t1 <= t2 with at most ranks[0] pair values below t1 and more than ranks[1] up to t2.
 
-    Up to _BAND_PAIRS pairs in all, these are the values at the two ranks.
-    Beyond, a counting pass bins the values by the top 16 bits of their sort
-    keys. If the bins of the two ranks, widened by ``margin``, may hold more
-    than _BAND_PAIRS pairs, a second pass bins the next 16 bits inside those
-    bins.
+    A counting pass bins the values by the top 16 bits of their sort keys. If
+    the bins of the two ranks, widened by ``margin``, may hold more than
+    _BAND_PAIRS pairs, a second pass bins the next 16 bits inside those bins.
     """
-    n = x.shape[0]
-    if n * (n - 1) // 2 <= _BAND_PAIRS:
-        vals = np.concatenate([v[upper] for _, upper, v in _upper_blocks(x, screen)])
-        t1, t2 = np.partition(vals, ranks)[list(ranks)]
-        return float(t1), float(t2)
     half = _KEY_BINS // 2
     top = np.zeros(_KEY_BINS, dtype=np.int64)
-    for _, upper, vals in _upper_blocks(x, screen):
+    for _, upper, vals in _upper_blocks(x, sq, screen):
         top += np.bincount((_sort_keys(vals[upper]) >> 48) + half, minlength=_KEY_BINS)
     counts = np.concatenate(([0], np.cumsum(top)))
     bins = [int(np.searchsorted(counts, r, side="right")) - 1 for r in ranks]
@@ -293,7 +286,7 @@ def _median_bracket(x: np.ndarray, screen: bool, ranks: tuple[int, int],
     if counts[last + 1] - counts[first] <= _BAND_PAIRS:
         return t1, t2
     sub = {b: np.zeros(_KEY_BINS, dtype=np.int64) for b in bins}
-    for _, upper, vals in _upper_blocks(x, screen):
+    for _, upper, vals in _upper_blocks(x, sq, screen):
         keys = _sort_keys(vals[upper])
         high = (keys >> 48) + half
         for b, hist in sub.items():
@@ -317,14 +310,15 @@ def _median_distance(x: np.ndarray) -> float:
     n = x.shape[0]
     size = n * (n - 1) // 2
     lo, hi = (size - 1) // 2, size // 2
-    margin = 2.0 * _screen_margins(x)[1].max()
+    sq, margins = _screen_margins(x)
+    margin = 2.0 * margins.max()
     screen = bool(np.isfinite(margin))
     if not screen:
         margin = 0.0
-    t1, t2 = _median_bracket(x, screen, (lo, hi), margin)
+    t1, t2 = _median_bracket(x, sq, screen, (lo, hi), margin)
     shift = 0
     rows, cols = [], []
-    for s0, upper, vals in _upper_blocks(x, screen):
+    for s0, upper, vals in _upper_blocks(x, sq, screen):
         below = upper & (vals < t1 - margin)
         r, c = np.nonzero(upper & ~(below | (vals > t2 + margin)))
         shift += int(np.count_nonzero(below))

@@ -21,7 +21,7 @@ from . import classical as cl
 from . import quantum_sim as qs
 from . import resources
 from .embedding import Dataset, MedrProblem, VARIANTS, build_problem, knn_graph
-from .linalg import frobenius_norm, hermiticity_defect
+from .linalg import as_square, frobenius_norm, hermiticity_defect
 
 EVOLUTION_NORM_BOUND = float(np.exp(2.0)) + 1e-6
 
@@ -400,7 +400,7 @@ def graph_summary(ds: Dataset, cfg: RunConfig) -> dict:
         "k": graph.k,
         "sigma": graph.sigma,
         "laplacian_row_sum_max": float(np.max(np.abs(lap.sum(axis=1)))),
-        "laplacian_min_eigenvalue": float(np.linalg.eigvalsh(lap)[0]),
+        "laplacian_min_eigenvalue": float(np.linalg.eigvalsh(as_square(lap))[0]),
         "degree_min": float(np.min(graph.degrees)),
         "flags": list(graph.flags),
     })

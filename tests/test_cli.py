@@ -221,6 +221,17 @@ class TestCliCommands:
         assert set(np.unique(s).tolist()) == {0.0, 1.0}
         assert np.array_equal(edge_similarity(graph), s)
 
+    def test_graph_non_finite_laplacian_exit_2(self, tmp_path, capsys):
+        # with sigma = inf, the 1e160 row's neighbours have d2 = inf and
+        # w = exp(-inf/inf) is NaN; the Laplacian check refuses it
+        ds = datasets.synth_blobs(16, 3, 2, seed=4)
+        ds = qmedr.embedding.Dataset(X=np.vstack([ds.X, np.full((1, 3), 1e160)]))
+        path = str(tmp_path / "far.csv")
+        datasets.save_dataset_csv(ds, path)
+        assert main(["graph", path, "--k", "3", "--sigma", "inf", "--out-dir", str(tmp_path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "graph.json").exists()
+
     def test_invalid_enum_exit_2(self, tmp_path):
         path = self.synth(tmp_path)
         with pytest.raises(SystemExit) as info:

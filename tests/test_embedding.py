@@ -641,7 +641,7 @@ class TestMedianPasses:
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.median(np.sqrt(pairwise_sq_distances(x)[np.triu_indices(n, 1)])))
 
-    # 10**9 holds every pair value; 0 makes every bracket take the second pass
+    # 10**9 lets the first counting pass decide; 0 makes every bracket take the second pass
     @pytest.mark.parametrize("band", [10**9, 500, 0])
     @pytest.mark.parametrize("data", [
         lambda rng: rng.normal(size=(97, 5)),
@@ -681,8 +681,9 @@ class TestMedianPasses:
         exact = emb._exact_sq_distances
         monkeypatch.setattr(emb, "_exact_sq_distances",
                             lambda x, rows, cols: sizes.append(rows.size) or exact(x, rows, cols))
+        sq = emb._screen_margins(x)[0]
         keys = np.concatenate([emb._sort_keys(vals[upper]) >> 48
-                               for _, upper, vals in emb._upper_blocks(x, True)])
+                               for _, upper, vals in emb._upper_blocks(x, sq, True)])
         assert np.count_nonzero(keys == np.sort(keys)[keys.size // 2]) > 1000
         assert emb._median_distance(x) == self.dense_sigma(x)
         assert 1 <= sizes[0] <= 500
