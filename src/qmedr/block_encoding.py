@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .linalg import (
@@ -428,36 +428,26 @@ def _exp_series(sign: int, eps: float) -> tuple[np.ndarray, float]:
 
     The expansion about 1 has coefficients ``sign^l * e^sign / l!``; the
     truncation order is the smallest L whose absolute-coefficient tail
-    (evaluated at radius 1, in extended precision) is at most eps*B/2 with
-    B = e^2 the shared normalization.
+    (evaluated at radius 1, in exact rationals) is at most eps*B/2 with
+    B = e^2 the shared normalization. e is the sum of its first 60 terms,
+    within 1/60! ~ 1.2e-82 of e; orders stop below 50, where that remainder
+    is under 1e-17 of every tail compared. Each coefficient is correctly
+    rounded.
     """
     b = EXP_NORMALIZATION
-    threshold = eps * b / 2.0
-    with mpmath.workdps(60):
-        e = mpmath.e
-        scale = e if sign > 0 else 1 / e
-        partial = mpmath.mpf(0)
-        fact = mpmath.mpf(1)
-        order = None
-        for l in range(0, 64):
-            if l > 0:
-                fact *= l
-            partial += 1 / fact
-            tail = scale * (e - partial)
-            if tail <= threshold:
-                order = l
-                break
-        if order is None:
-            raise BlockEncodingError("series truncation did not converge")
-        coeffs = []
-        fact = mpmath.mpf(1)
-        for l in range(order + 1):
-            if l > 0:
-                fact *= l
-            c = scale / fact
-            if sign < 0 and l % 2 == 1:
-                c = -c
-            coeffs.append(float(c))
+    threshold = Fraction(eps * b / 2.0)
+    last = math.factorial(59)
+    e = Fraction(sum(last // math.factorial(j) for j in range(60)), last)
+    scale = e if sign > 0 else 1 / e
+    rest = e
+    for order in range(50):
+        rest -= Fraction(1, math.factorial(order))
+        if scale * rest <= threshold:
+            break
+    else:
+        raise BlockEncodingError("series truncation did not converge")
+    coeffs = [float(scale / math.factorial(l)) * (-1.0 if sign < 0 and l % 2 else 1.0)
+              for l in range(order + 1)]
     return np.array(coeffs), float(b)
 
 

@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from . import datasets, pipeline, resources
+from .embedding import VARIANTS
 from .pipeline import ConfigError, RunConfig
 from .quantum_sim import FixedPointOverflow
 
@@ -64,27 +65,29 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--variant", default="ELPP", choices=["ELPP", "EUDP", "ENPE", "EDA"])
-    sub.add_argument("--m", type=int, default=2, help="output dimensions")
-    sub.add_argument("--k", type=int, default=4, help="neighbor count")
-    sub.add_argument("--sigma", type=float, default=None, help="heat-kernel width (default: median distance)")
-    sub.add_argument("--kappa-target", type=float, default=10.0, dest="kappa_target")
-    sub.add_argument("--eps", type=float, default=1e-2, help="target accuracy of the output entries")
-    sub.add_argument("--eps1", type=float, default=None, help="phase-register resolution override")
-    sub.add_argument("--eps2", type=float, default=None, help="inner-product accuracy override")
-    sub.add_argument("--eps-be", type=float, default=1e-8, dest="eps_be", help="exponential-encoding accuracy")
-    sub.add_argument("--accuracy-bits", type=int, default=10, dest="accuracy_bits", help="phase accuracy bits n")
-    sub.add_argument("--eta", type=float, default=0.05, help="phase-estimation failure budget")
-    sub.add_argument("--q2", type=int, default=32, help="value-register bits")
-    sub.add_argument("--int-bits", type=int, default=7, dest="int_bits")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--mode", default="deterministic", choices=["deterministic", "sampled"])
-    sub.add_argument("--sign-source", default="anchor", choices=["anchor", "reference"], dest="sign_source")
-    sub.add_argument("--shots", type=int, default=100000)
+    sub.add_argument("--variant", choices=VARIANTS)
+    sub.add_argument("--m", type=int, help="output dimensions")
+    sub.add_argument("--k", type=int, help="neighbor count")
+    sub.add_argument("--sigma", type=float, help="heat-kernel width (default: median distance)")
+    sub.add_argument("--kappa-target", type=float, dest="kappa_target")
+    sub.add_argument("--eps", type=float, help="target accuracy of the output entries")
+    sub.add_argument("--eps1", type=float, help="phase-register resolution override")
+    sub.add_argument("--eps2", type=float, help="inner-product accuracy override")
+    sub.add_argument("--eps-be", type=float, dest="eps_be", help="exponential-encoding accuracy")
+    sub.add_argument("--accuracy-bits", type=int, dest="accuracy_bits", help="phase accuracy bits n")
+    sub.add_argument("--eta", type=float, help="phase-estimation failure budget")
+    sub.add_argument("--q2", type=int, help="value-register bits")
+    sub.add_argument("--int-bits", type=int, dest="int_bits")
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--mode", choices=["deterministic", "sampled"])
+    sub.add_argument("--sign-source", choices=["anchor", "reference"], dest="sign_source")
+    sub.add_argument("--shots", type=int)
     sub.add_argument("--analog", action="store_true", help="also assemble the analog state")
     sub.add_argument("--include-k", action="store_true", dest="include_k")
     sub.add_argument("--strict", action="store_true", help="a degenerate spectral cut becomes fatal")
-    sub.add_argument("--out-dir", default=None, dest="out_dir")
+    sub.add_argument("--out-dir", dest="out_dir")
+    # every config flag takes its default from RunConfig
+    sub.set_defaults(**RunConfig().to_dict())
 
 
 def _load(args):

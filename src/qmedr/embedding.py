@@ -353,7 +353,12 @@ def knn_graph(ds: Dataset, k: int, sigma: float | None = None) -> SimilarityGrap
     pairs, first = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols), return_index=True)
     a, b = np.divmod(pairs, n)
     # exact distances are symmetric to the bit, so both directions share a weight
-    w = np.exp(-d2.ravel()[first] / (2.0 * sigma**2))
+    # d2 / 0 is the sigma -> 0 limit, exp(-inf) = 0; the NaNs of inf / inf and 0 / 0 are refused
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.exp(-d2.ravel()[first] / (2.0 * sigma**2))
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"sigma={sigma} gives non-finite heat-kernel weights: "
+                         "a squared distance and 2 sigma^2 are both infinite or both zero")
     degrees = np.bincount(a, w, n) + np.bincount(b, w, n)
     flags = ()
     if np.any(degrees <= 0):

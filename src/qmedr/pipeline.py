@@ -21,7 +21,7 @@ from . import classical as cl
 from . import quantum_sim as qs
 from . import resources
 from .embedding import Dataset, MedrProblem, VARIANTS, build_problem, knn_graph
-from .linalg import as_square, frobenius_norm, hermiticity_defect
+from .linalg import frobenius_norm, hermiticity_defect
 
 EVOLUTION_NORM_BOUND = float(np.exp(2.0)) + 1e-6
 
@@ -360,11 +360,14 @@ def compare_outputs(classical: cl.CompressedOutput, run: QuantumRun) -> Comparis
 
 def audit_ratios(run: QuantumRun) -> dict:
     """Logged step tallies divided by the evaluated step expressions."""
-    report = resources.eval_step_costs(run.params)
+    return _ratios(run.logged_steps, resources.eval_step_costs(run.params))
+
+
+def _ratios(logged: dict, report: resources.ResourceReport) -> dict:
     out = {}
     for step in ("step1", "step2", "step3"):
         evaluated = report.per_step[step]["count"]
-        out[step] = run.logged_steps[step] / evaluated if evaluated > 0 else math.inf
+        out[step] = logged[step] / evaluated if evaluated > 0 else math.inf
     return out
 
 
@@ -400,7 +403,7 @@ def graph_summary(ds: Dataset, cfg: RunConfig) -> dict:
         "k": graph.k,
         "sigma": graph.sigma,
         "laplacian_row_sum_max": float(np.max(np.abs(lap.sum(axis=1)))),
-        "laplacian_min_eigenvalue": float(np.linalg.eigvalsh(as_square(lap))[0]),
+        "laplacian_min_eigenvalue": float(np.linalg.eigvalsh(lap)[0]),
         "degree_min": float(np.min(graph.degrees)),
         "flags": list(graph.flags),
     })
@@ -448,7 +451,7 @@ def resources_section(run: QuantumRun, cfg: RunConfig) -> dict:
         "polylog": report.polylog,
         "variant": resources.variant_comparison(run.params, cfg.variant, cfg.include_k),
         "logged_steps": run.logged_steps,
-        "audit_ratios": audit_ratios(run),
+        "audit_ratios": _ratios(run.logged_steps, report),
         "cost_log": dict(run.cost_log),
     }
 

@@ -101,17 +101,8 @@ class ResourceReport:
     """Evaluated cost expressions plus the parameters that produced them."""
 
     per_step: dict
-    totals: dict
     parameters: dict
     polylog: dict = field(default_factory=lambda: dict(POLYLOG_NOTES))
-
-    def to_dict(self) -> dict:
-        return {
-            "per_step": self.per_step,
-            "totals": self.totals,
-            "parameters": self.parameters,
-            "polylog": self.polylog,
-        }
 
 
 def step1_time(p: ResourceParams) -> float:
@@ -142,8 +133,7 @@ def eval_step_costs(p: ResourceParams) -> ResourceReport:
         "step3": {"formula": STEP_FORMULAS["step3"], "count": step3_count(p)},
         "total": {"formula": STEP_FORMULAS["total"], "count": total_count(p)},
     }
-    totals = {"quantum": per_step["total"]["count"]}
-    return ResourceReport(per_step=per_step, totals=totals, parameters=asdict(p))
+    return ResourceReport(per_step=per_step, parameters=asdict(p))
 
 
 def classical_cost(p: ResourceParams, variant: str) -> float:

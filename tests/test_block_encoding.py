@@ -280,6 +280,35 @@ class TestBeExp:
         with pytest.raises(ValueError):
             be_exp(be, +1, 0.0, kappa=2.0)
 
+    def test_series_matches_60_digit_reference(self):
+        # independent oracle: e, the tails and the coefficients at 60 digits
+        import mpmath
+
+        def reference(sign, eps):
+            threshold = eps * EXP_NORMALIZATION / 2.0
+            with mpmath.workdps(60):
+                scale = mpmath.e if sign > 0 else 1 / mpmath.e
+                partial, fact = mpmath.mpf(0), mpmath.mpf(1)
+                for order in range(64):
+                    fact *= max(order, 1)
+                    partial += 1 / fact
+                    if scale * (mpmath.e - partial) <= threshold:
+                        break
+                return [float(scale / mpmath.factorial(l)) * (-1.0 if sign < 0 and l % 2 else 1.0)
+                        for l in range(order + 1)]
+
+        rng = np.random.default_rng(21)
+        for eps in np.concatenate(([1e-16, 0.5], 10.0 ** rng.uniform(-16, np.log10(0.5), 1000))):
+            for sign in (1, -1):
+                coeffs, b = bk._exp_series(sign, float(eps))
+                assert b == EXP_NORMALIZATION
+                assert coeffs.tolist() == reference(sign, float(eps)), (sign, eps)
+
+    def test_series_rejects_unreachable_eps(self):
+        for sign in (1, -1):
+            with pytest.raises(BlockEncodingError, match="did not converge"):
+                bk._exp_series(sign, 1e-70)
+
     def test_rejects_non_hermitian(self):
         be = block_encode_dense(np.array([[0.5, 0.4], [0.0, 0.5]]), alpha=1.0)
         with pytest.raises(BlockEncodingError, match="Hermitian"):

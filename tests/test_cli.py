@@ -210,6 +210,7 @@ class TestCliCommands:
         assert main(["compare", path, flag, "nan", "--out-dir", str(tmp_path)]) == 2
         assert f"{flag[2:]} must" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_sigma_accepted(self, tmp_path):
         # sigma = inf gives LPP's 0/1 weights
         RunConfig(sigma=float("inf")).validate()
@@ -221,15 +222,17 @@ class TestCliCommands:
         assert set(np.unique(s).tolist()) == {0.0, 1.0}
         assert np.array_equal(edge_similarity(graph), s)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_graph_non_finite_laplacian_exit_2(self, tmp_path, capsys):
         # with sigma = inf, the 1e160 row's neighbours have d2 = inf and
-        # w = exp(-inf/inf) is NaN; the Laplacian check refuses it
+        # w = exp(-inf/inf) is NaN; knn_graph refuses it, naming sigma
         ds = datasets.synth_blobs(16, 3, 2, seed=4)
         ds = qmedr.embedding.Dataset(X=np.vstack([ds.X, np.full((1, 3), 1e160)]))
         path = str(tmp_path / "far.csv")
         datasets.save_dataset_csv(ds, path)
         assert main(["graph", path, "--k", "3", "--sigma", "inf", "--out-dir", str(tmp_path)]) == 2
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "sigma=inf" in err
         assert not (tmp_path / "graph.json").exists()
 
     def test_invalid_enum_exit_2(self, tmp_path):
@@ -241,6 +244,16 @@ class TestCliCommands:
     def test_bad_config_value_exit_2(self, tmp_path):
         path = self.synth(tmp_path)
         assert main(["compare", path, "--eps", "7.0", "--out-dir", str(tmp_path)]) == 2
+
+    def test_defaults_are_run_config(self):
+        args = cli.build_parser().parse_args(["compare", "x.csv"])
+        assert cli._config_from_args(args) == RunConfig()
+
+    def test_unreachable_eps_be_exit_2(self, tmp_path, capsys):
+        # no series order below 50 reaches a 1e-70 tail
+        path = self.synth(tmp_path)
+        assert main(["compare", path, "--eps-be", "1e-70", "--out-dir", str(tmp_path)]) == 2
+        assert "did not converge" in capsys.readouterr().err
 
     def test_strict_degenerate_exit_3(self, tmp_path):
         # three pairwise-equidistant samples make the second/third exponential
@@ -337,15 +350,15 @@ class TestCliCommands:
         assert maxrss_kib < 300 * 1024
 
     def test_compare_never_loads_scipy(self, tmp_path):
-        # scipy serves only expm's non-Hermitian fallback, which no report reaches,
-        # so a fresh interpreter running one compare must never import it
+        # numpy is the only runtime dependency: a fresh interpreter running one
+        # compare must never import scipy or mpmath
         path = self.synth(tmp_path)
         script = textwrap.dedent(f"""
             import sys
             from qmedr.cli import main
 
             code = main(["compare", {path!r}, "--analog", "--out-dir", {str(tmp_path)!r}])
-            print(code, any(name.split(".")[0] == "scipy" for name in sys.modules))
+            print(code, any(name.split(".")[0] in ("scipy", "mpmath") for name in sys.modules))
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(qmedr.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
