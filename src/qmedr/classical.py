@@ -38,7 +38,6 @@ class EigenSolution:
     direction: str
     route: str
     degenerate_cut: bool
-    sign_convention: str = "first-component"
 
     @property
     def m(self) -> int:
@@ -47,11 +46,10 @@ class EigenSolution:
 
 @dataclass(frozen=True)
 class CompressedOutput:
-    """Projected dataset Y = X W plus provenance and the solution it came from."""
+    """Projected dataset Y = X W and the solution it came from."""
 
     Y: np.ndarray
     frobenius: float
-    provenance: str
     solution: EigenSolution | None = None
 
 
@@ -76,7 +74,7 @@ def apply_dataset_signs(sol: EigenSolution, x: np.ndarray) -> EigenSolution:
                 w[:, j] = -w[:, j]
             continue
         w[:, j : j + 1] = _fix_vector_signs(w[:, j : j + 1])
-    return replace(sol, eigenvectors=w, sign_convention="dataset-sum")
+    return replace(sol, eigenvectors=w)
 
 
 def _cached(p: MedrProblem, key: str, make):
@@ -157,33 +155,8 @@ def project(ds: Dataset, sol: EigenSolution) -> CompressedOutput:
     return CompressedOutput(
         Y=y,
         frobenius=frobenius_norm(y),
-        provenance="classical",
         solution=signed,
     )
-
-
-def residuals(p: MedrProblem, sol: EigenSolution) -> np.ndarray:
-    """Per-pair defining-equation residuals, route-appropriate.
-
-    Symmetric route: ||E v - lambda v||. Dilation route: the residual of the
-    dilated Hermitian operator on its paired eigenvector, i.e. the singular
-    pair residuals of E.
-    """
-    e_op = exponential_operator(p)
-    out = np.zeros(sol.m)
-    for j in range(sol.m):
-        v = sol.eigenvectors[:, j]
-        lam = sol.eigenvalues[j]
-        if sol.route == "symmetric":
-            out[j] = np.linalg.norm(e_op @ v - lam * v)
-        else:
-            u = e_op @ v
-            nrm = np.linalg.norm(u)
-            u = u / nrm if nrm > 0 else u
-            r1 = np.linalg.norm(e_op @ v - lam * u)
-            r2 = np.linalg.norm(e_op.T @ u - lam * v)
-            out[j] = np.sqrt((r1**2 + r2**2) / 2.0)
-    return out
 
 
 def cluster_residuals(p: MedrProblem, sol: EigenSolution, value_tol: float):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import datasets, pipeline, resources
 from .embedding import VARIANTS
-from .pipeline import ConfigError, RunConfig
+from .pipeline import RunConfig
 from .quantum_sim import FixedPointOverflow
 
 EXIT_OK = 0
@@ -239,10 +239,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FixedPointOverflow as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import as_square, hermitian_eig, spectral_norm
+from .linalg import as_square, spectral_norm
 
 VARIANTS = ("ELPP", "EUDP", "ENPE", "EDA")
 
@@ -136,19 +136,8 @@ class MedrProblem:
 _DIFF_BLOCK_BYTES = 2**20
 
 
-def pairwise_sq_distances(x: np.ndarray) -> np.ndarray:
-    """Squared distances between all rows, reduced in row blocks of _DIFF_BLOCK_BYTES at most."""
-    n, f = x.shape
-    rows = max(1, _DIFF_BLOCK_BYTES // (8 * n * f))
-    out = np.empty((n, n))
-    for s0 in range(0, n, rows):
-        diff = x[s0 : s0 + rows, None, :] - x[None, :, :]
-        out[s0 : s0 + rows] = np.einsum("ijk,ijk->ij", diff, diff)
-    return out
-
-
 def _exact_sq_distances(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Squared distances of the pairs (rows[i], cols[i]), with the bits of pairwise_sq_distances."""
+    """Difference-and-square distances of the pairs (rows[i], cols[i]): |x_i - x_j|^2 by einsum."""
     step = max(1, _DIFF_BLOCK_BYTES // (8 * x.shape[1]))
     out = np.empty(rows.size)
     for s0 in range(0, rows.size, step):
@@ -204,9 +193,9 @@ def _key_value(key: int) -> float:
 def _nearest_neighbors(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k nearest other rows and their exact squared distances.
 
-    The result is the first k columns of a stable argsort of
-    pairwise_sq_distances with an infinite diagonal, never the row itself,
-    and those distances, but no N x N array is built. Row blocks of _DIFF_BLOCK_BYTES take the
+    The result is the first k columns of a stable argsort of the N x N
+    difference-and-square distances with an infinite diagonal, never the row
+    itself, and those distances, but no N x N array is built. Row blocks of _DIFF_BLOCK_BYTES take the
     Gram screen g_ij = |x_i|^2 + |x_j|^2 - 2 x_i.x_j, which stays within
     M_i of the exact distance (_screen_margins). Only pairs with
     g_ij <= (k-th smallest g_i) + 2 M_i can be neighbours; exact distances
@@ -247,8 +236,8 @@ def _upper_blocks(x: np.ndarray, sq: np.ndarray, screen: bool):
 
     ``values[r, c]`` belongs to the pair (s0 + r, s0 + 1 + c), and ``upper``
     marks the pairs i < j among them. The values are the Gram screen over the
-    squared row norms ``sq``, or with ``screen`` false the exact squared
-    distances of pairwise_sq_distances.
+    squared row norms ``sq``, or with ``screen`` false the exact
+    difference-and-square distances.
     """
     n, f = x.shape
     step = max(1, _DIFF_BLOCK_BYTES // (8 * n * (1 if screen else f)))
@@ -578,9 +567,3 @@ def build_problem(ds: Dataset, variant: str, k: int, sigma: float | None = None,
     if variant == "EDA":
         return build_eda(ds, kappa_target, pad_to)
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def spectrum_window_defect(mat: np.ndarray, kappa: float) -> float:
-    """How far the spectrum of a symmetric matrix strays outside [1/kappa, 1]."""
-    w = hermitian_eig(mat).eigenvalues
-    return float(max(0.0, 1.0 / kappa - w[0], w[-1] - 1.0))

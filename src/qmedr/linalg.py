@@ -56,10 +56,6 @@ class HermitianSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 SIGN_PIVOT_THRESHOLD = 1e-12
 

@@ -12,7 +12,7 @@ deterministic mode is bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,12 +44,6 @@ def _fejer_kernel(x: np.ndarray, k: int) -> np.ndarray:
     out = np.ones_like(den)
     out[~exact] = num[~exact] / (k * k * den[~exact])
     return out
-
-
-def qpe_register_distribution(phase: float, q1: int) -> np.ndarray:
-    """Exact q1-bit register distribution for a single eigenphase in [0, 1)."""
-    k = 1 << q1
-    return _fejer_kernel(k * phase - np.arange(k), k)
 
 
 # offsets around round(k * phase) that hold the register's most likely bin:
@@ -84,18 +78,6 @@ class PhaseEstimationResult:
     def n_pairs(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def register_law(self, j: int) -> np.ndarray:
-        """Full 2**q1-bin register distribution of eigenpair j (built on demand)."""
-        return qpe_register_distribution(self.phases[j], self.q1)
-
-    @property
-    def mass(self) -> np.ndarray:
-        """Dense pairs x 2**q1 table of every register law (built on demand)."""
-        return np.stack([self.register_law(j) for j in range(self.n_pairs)])
-
-    def total_mass(self) -> float:
-        return float(self.mass.sum(axis=1).mean())
-
     def estimate_for_register(self, k) -> np.ndarray:
         return (np.asarray(k) / self.register_size) * (2.0 * np.pi / self.t)
 
@@ -106,28 +88,6 @@ class PhaseEstimationResult:
         law = _fejer_kernel(k * self.phases[:, None] - bins, k)
         peak = law == law.max(axis=1, keepdims=True)
         return np.where(peak, bins, k).min(axis=1)
-
-    def bins(self, threshold: float = 1e-12) -> list:
-        """Pruned (register value, eigenvalue estimate, mass, pair index) tuples."""
-        out = []
-        weight = 1.0 / self.n_pairs
-        for j in range(self.n_pairs):
-            row = self.register_law(j) * weight
-            for k in np.nonzero(row > threshold)[0]:
-                out.append((int(k), float(self.estimate_for_register(k)), float(row[k]), int(j)))
-        return out
-
-    def mass_within(self, j: int, bits: int) -> float:
-        """Mass within the bins whose phase is bits-accurate for pair j."""
-        k = self.register_size
-        phase = self.phases[j]
-        reach = k * 2.0 ** (-bits)
-        near = np.arange(math.floor(k * phase - reach) - 1, math.ceil(k * phase + reach) + 2)
-        offsets = np.unique(near % k)
-        dist = np.abs(offsets / k - phase)
-        dist = np.minimum(dist, 1.0 - dist)
-        offsets = offsets[dist < 2.0 ** (-bits)]
-        return float(_fejer_kernel(k * phase - offsets, k).sum())
 
 
 def simulate_qpe(
@@ -374,18 +334,9 @@ class DigitalState:
     """
 
     entries: np.ndarray
-    q2: int
-    int_bits: int
-    frac_bits: int
-    sign_source: str
     epsilon_total: float
     eps2: float
     anchor_index: int | None = None
-    amplitude: float = field(default=0.0)
-
-    def __post_init__(self):
-        n, m = self.entries.shape
-        object.__setattr__(self, "amplitude", 1.0 / math.sqrt(n * m))
 
 
 @dataclass(frozen=True)
@@ -395,8 +346,6 @@ class AnalogState:
     amplitudes: np.ndarray
     fidelity_vs_classical: float
     anchor_index: int
-    xi_estimates: np.ndarray
-    rotation_floor: float
 
 
 def _finite_shot_overlap(values, shots: int, gen: np.random.Generator):
@@ -408,28 +357,23 @@ def _finite_shot_overlap(values, shots: int, gen: np.random.Generator):
 def hadamard_test(
     prep_a: np.ndarray,
     prep_b: np.ndarray,
-    mode: str = "real",
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Overlap component between the states the two preparations produce.
+    """Re<psi|phi> between the states the two preparations produce.
 
-    Returns Re<psi|phi> (mode "real") or Im<psi|phi> (mode "imag"), computed
-    from the exact acceptance probability P(1) = (1 - Re(zeta <psi|phi>))/2,
+    Computed from the exact acceptance probability P(1) = (1 - Re<psi|phi>)/2,
     optionally replaced by a seeded finite-shot Bernoulli estimate.
     """
-    if mode not in ("real", "imag"):
-        raise ValueError("mode must be 'real' or 'imag'")
     psi = np.asarray(prep_a)[:, 0]
     phi = np.asarray(prep_b)[:, 0]
     if psi.shape != phi.shape:
         raise ValueError("preparations act on different dimensions")
-    z = complex(np.vdot(psi, phi))
-    re_zeta = z.real if mode == "real" else -z.imag
+    overlap = complex(np.vdot(psi, phi)).real
     if shots is not None:
         gen = rng if rng is not None else np.random.default_rng(0)
-        re_zeta = float(_finite_shot_overlap(re_zeta, shots, gen))
-    return re_zeta if mode == "real" else -re_zeta
+        overlap = float(_finite_shot_overlap(overlap, shots, gen))
+    return overlap
 
 
 def _draw_anchor(ds: Dataset, vectors: np.ndarray, seed: int) -> tuple[int, np.ndarray]:
@@ -544,10 +488,6 @@ def assemble_digital_state(
 
     return DigitalState(
         entries=quantized,
-        q2=q2,
-        int_bits=int_bits,
-        frac_bits=frac_bits,
-        sign_source=sign_source,
         epsilon_total=epsilon_total,
         eps2=table.eps2,
         anchor_index=anchor_idx,
@@ -578,8 +518,7 @@ def assemble_analog_state(
         gen = np.random.default_rng(seed + 17)
         anchor_prep = _householder_prep(ds.normalized_rows()[anchor_idx])
         xi_hat = np.array([
-            hadamard_test(anchor_prep, _householder_prep(vectors[:, j]), "real",
-                          shots=shots, rng=gen)
+            hadamard_test(anchor_prep, _householder_prep(vectors[:, j]), shots=shots, rng=gen)
             for j in range(len(xi))
         ])
     else:
@@ -609,6 +548,4 @@ def assemble_analog_state(
         amplitudes=amplitudes,
         fidelity_vs_classical=fidelity,
         anchor_index=anchor_idx,
-        xi_estimates=xi_hat,
-        rotation_floor=floor,
     )

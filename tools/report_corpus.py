@@ -65,13 +65,15 @@ def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
 
 
-def run_corpus(src: str, root: Path) -> None:
+def run_corpus(src: str, root: Path, configs=None) -> None:
+    """Print the digest line of each (N, F, variant, mode, analog) config, by default corpus()."""
+    configs = list(corpus() if configs is None else configs)
     sys.path.insert(0, src)
     from qmedr import cli, datasets
 
-    for n, f in SHAPES:
+    for n, f in dict.fromkeys((n, f) for n, f, *_ in configs):
         datasets.save_dataset_csv(datasets.synth_blobs(n, f, 2, seed=0), str(root / f"{n}x{f}.csv"))
-    for n, f, variant, mode, analog in corpus():
+    for n, f, variant, mode, analog in configs:
         out = root / f"{n}x{f}-{variant}-{mode}-{int(analog)}"
         argv = [str(root / f"{n}x{f}.csv"), "--variant", variant, "--mode", mode,
                 "--out-dir", str(out)] + (["--analog"] if analog else [])
